@@ -2,7 +2,7 @@
 //! dictation protocol.
 //!
 //! The abstract machine mirrors the semantics of `crates/net`'s
-//! `node.rs`/`coordinator.rs` (PRs 2–6) at small scope — 2–4 RPs, 2–3
+//! `RpCore` (`rp.rs`) and `coordinator.rs` at small scope — 2–4 RPs, 2–3
 //! dictated revisions, with message reordering always on and message
 //! drop/duplication switchable:
 //!
@@ -10,7 +10,7 @@
 //!   acknowledged revision `r` (the ack barrier, so at most two
 //!   consecutive revisions are ever live);
 //! * an RP applies a `Reconfigure` iff its revision is `>=` the table it
-//!   runs ([`swap_table`], the exact rule `node.rs` uses — wholesale
+//!   runs ([`swap_table`], the exact rule `RpCore` uses — wholesale
 //!   replace, never merge) and *always* acknowledges, so coordinator
 //!   retries converge;
 //! * an unfinished ack barrier may time out at any moment, **poisoning**
@@ -49,7 +49,8 @@ pub use plans::{check_acyclic, check_quality, parent_of, rung_of, stream_origins
 
 /// The RP-side table application rule, shared verbatim between the
 /// abstract model, the conformance proptest, and (semantically)
-/// `node.rs`: a revision-tagged table replaces the current one iff its
+/// `teeve-net`'s `RpCore`, the one protocol state machine both RP hosts
+/// drive: a revision-tagged table replaces the current one iff its
 /// revision is not older; stale tables are ignored. Returns whether the
 /// table was applied. The caller acks **regardless** — re-acking a
 /// stale revision is what lets coordinator retries converge.

@@ -7,7 +7,7 @@
 //! semantics agree on every site under arbitrary delivery orders,
 //! including duplicated and stale redeliveries.
 //!
-//! If `node.rs` ever diverges from the swap rule (say, merging tables
+//! If `RpCore` ever diverges from the swap rule (say, merging tables
 //! instead of replacing them), the model keeps passing but this bridge
 //! breaks — which is the point: the model's soundness reduces to this
 //! conformance plus the mirrored rule.

@@ -277,7 +277,7 @@ impl teeve_pubsub::DeltaSink for LiveCluster {
 /// stream**: when a stream's last frame has been published, its `End`
 /// marker flows down the stream's (acyclic) multicast tree, and
 /// connections are write-shut afterwards — there is no per-connection
-/// `Bye` handshake, which would deadlock on cyclic site graphs.
+/// close handshake, which would deadlock on cyclic site graphs.
 ///
 /// # Errors
 ///

@@ -30,15 +30,24 @@
 //!
 //! # Hosting modes: threads vs the reactor
 //!
-//! An RP can be hosted two ways, speaking the identical wire protocol:
+//! Every RP's protocol is one sans-IO state machine, `RpCore`: it owns
+//! the revision-tagged forwarding table, `Hello` attribution, the
+//! control-channel generation, delivery statistics and the per-rung
+//! frame encoder, and answers each message with a list of effects
+//! (writes to a child or to the control channel, link opens and closes,
+//! publish batches, shutdown, disconnect). An RP can be hosted two ways;
+//! both are executors of those effects and differ only in how they do
+//! I/O:
 //!
 //! - **Thread-per-connection** ([`RpNode::spawn`]): an accept thread plus
-//!   one reader thread per inbound link. Simple and robust, but a fleet
-//!   of N sites costs well over 2N threads — fine for a handful of
-//!   sites, prohibitive for hundreds of sessions in one process.
+//!   one reader thread per connection, each locking the core only while
+//!   it handles a message and writing under per-socket locks. Simple and
+//!   robust, but a fleet of N sites costs well over 2N threads — fine
+//!   for a handful of sites, prohibitive for hundreds of sessions in one
+//!   process.
 //! - **Event-driven** ([`Reactor::bind_node`]): a fixed pool of
 //!   non-blocking event loops hosts every RP. Each loop owns its nodes'
-//!   complete state (no locks), decodes incrementally from
+//!   cores outright (no locks), decodes incrementally from
 //!   per-connection read buffers, coalesces writes per wakeup with
 //!   backpressure-aware pending buffers, and paces `Publish` batches
 //!   with timers instead of sleeping threads — thousands of RPs at a
@@ -46,8 +55,8 @@
 //!
 //! [`LiveCluster::launch`] uses the threaded path;
 //! [`LiveCluster::launch_reactor`] hosts the same fleet on a reactor.
-//! Both forward through one shared frame encoder, so delivery accounting
-//! is bit-identical across hosting modes.
+//! Because both run the same core, the bytes on every hop and the
+//! delivery accounting are identical across hosting modes.
 //!
 //! # Examples
 //!
@@ -83,6 +92,7 @@ mod coordinator;
 mod node;
 mod reactor;
 mod replan;
+mod rp;
 pub mod wire;
 
 pub use cluster::{run_cluster, LiveCluster};

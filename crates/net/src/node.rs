@@ -1,39 +1,44 @@
 //! A standalone rendezvous-point runtime, addressed only by socket.
 //!
 //! [`RpNode`] is one site's RP as an autonomous unit: it owns its TCP
-//! listener, its revision-tagged forwarding table, its outbound link set,
-//! and its delivery counters. Everything a coordinator does to it —
-//! installing tables, opening and closing links, injecting frames,
-//! harvesting statistics, shutting it down — arrives as a
-//! [`wire`](crate::wire) message, so the node runs equally well as a
-//! thread inside the coordinator's process ([`LiveCluster`] spawns it
-//! that way), as its own OS process, or (in principle) on another host.
+//! listener, its outbound link set, and one [`RpCore`] — the protocol
+//! state machine shared with the [`Reactor`](crate::Reactor), which holds
+//! the forwarding table, link attribution and delivery counters.
+//! Everything a coordinator does to it — installing tables, opening and
+//! closing links, injecting frames, harvesting statistics, shutting it
+//! down — arrives as a [`wire`](crate::wire) message, so the node runs
+//! equally well as a thread inside the coordinator's process
+//! ([`LiveCluster`] spawns it that way), as its own OS process, or (in
+//! principle) on another host.
 //!
-//! The node is purely reactive: it binds, accepts, and answers. The
-//! coordinator's first connection sends [`Message::Attach`] to mark
-//! itself as the control channel; the node then routes all of its
-//! notifications ([`Message::LinkUp`]/[`Message::LinkDown`]) and replies
-//! ([`Message::Ack`], [`Message::BatchDone`], [`Message::StatsReport`])
-//! through that channel, serialized by one writer lock so concurrent
-//! reader threads can never interleave message bytes.
+//! This module is the thread-per-connection executor of the core's
+//! effects: an accept thread plus one reader thread per connection. A
+//! reader decodes a message, holds the core's lock only while
+//! [`RpCore::handle`] runs, then performs the effects with no core lock
+//! held — writes under the per-socket writer locks of the outbound links
+//! and the control channel, so concurrent readers never interleave
+//! message bytes on one socket. The coordinator's first connection sends
+//! [`Message::Attach`] to mark itself as the control channel; the node's
+//! notifications and replies go up that channel.
 //!
 //! [`LiveCluster`]: crate::LiveCluster
+//! [`Message::Attach`]: crate::wire::Message::Attach
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use parking_lot::Mutex;
-use teeve_pubsub::{ChildLink, SitePlan};
-use teeve_telemetry::{FlightEventKind, FlightRecorder, LogHistogram};
-use teeve_types::{Quality, SiteId, StreamId};
+use teeve_telemetry::FlightRecorder;
+use teeve_types::SiteId;
 
-use crate::wire::{decode, encode, Message, StreamDelivery};
+use crate::rp::{ConnRole, Effect, PublishBatch, RpCore};
+use crate::wire::decode;
 
 /// Microseconds since the Unix epoch: the capture/delivery timestamp base.
 /// A wall clock (not a process-local [`std::time::Instant`]) so frames
@@ -41,145 +46,7 @@ use crate::wire::{decode, encode, Message, StreamDelivery};
 /// another. Delegates to the workspace's single sanctioned clock module.
 pub(crate) use teeve_types::clock::unix_micros;
 
-/// The node's forwarding state, tagged with the plan revision it belongs
-/// to (matching `PlanDelta::from_revision`/`PlanDelta::to_revision`).
-///
-/// Shared with the reactor path: a reactor-hosted RP holds exactly this
-/// state, just not behind a lock (one event-loop thread owns it).
-#[derive(Debug)]
-pub(crate) struct ForwardingTable {
-    pub(crate) revision: u64,
-    pub(crate) plan: SitePlan,
-}
-
-impl ForwardingTable {
-    /// An empty revision-0 table for `site` — every RP's boot state.
-    pub(crate) fn empty(site: SiteId) -> ForwardingTable {
-        ForwardingTable {
-            revision: 0,
-            plan: SitePlan {
-                site,
-                entries: Vec::new(),
-            },
-        }
-    }
-}
-
-/// Child links and planned quality of `stream` under `plan` (the
-/// absent-entry default is leaf-at-full, matching the admission path).
-pub(crate) fn plan_entry(plan: &SitePlan, stream: StreamId) -> (Vec<ChildLink>, Quality) {
-    plan.entry(stream)
-        .map(|e| (e.children.clone(), e.quality))
-        .unwrap_or((Vec::new(), Quality::FULL))
-}
-
-/// Encodes the outgoing copies of one frame, one per child, degraded to
-/// the coarsest of the arriving tag, this RP's effective rung, and each
-/// child's planned rung — one shared encoding per distinct outgoing rung
-/// (siblings at the same rung reference the same bytes).
-///
-/// Both socket paths — the thread-per-connection `reader_loop` and the
-/// reactor — forward through this one function, so the bytes an RP puts
-/// on every hop are identical regardless of how it is hosted; the
-/// reactor-vs-threads delivery-parity test leans on that.
-pub(crate) fn encode_frame_copies(
-    stream: StreamId,
-    seq: u64,
-    captured_micros: u64,
-    payload: &Bytes,
-    tagged: Quality,
-    effective: Quality,
-    children: &[ChildLink],
-) -> Vec<(SiteId, Bytes)> {
-    let mut encoded: BTreeMap<Quality, Bytes> = BTreeMap::new();
-    let mut copies = Vec::with_capacity(children.len());
-    for child in children {
-        let rung = effective.max(child.quality);
-        let buf = encoded.entry(rung).or_insert_with(|| {
-            let extra = Quality::new((rung.rung() - tagged.rung()) as u8);
-            let mut buf = BytesMut::new();
-            encode(
-                &Message::Frame {
-                    stream,
-                    quality: rung,
-                    seq,
-                    captured_micros,
-                    payload: payload.slice(0..extra.scaled_len(payload.len())),
-                },
-                &mut buf,
-            );
-            buf.freeze()
-        });
-        copies.push((child.site, buf.clone()));
-    }
-    copies
-}
-
-/// One stream's local delivery accounting at this RP.
-#[derive(Debug, Default, Clone)]
-struct StreamStats {
-    /// Frames delivered.
-    delivered: u64,
-    /// Frames whose effective rung — the coarser of the wire tag and
-    /// this RP's planned quality — was below full.
-    degraded: u64,
-    /// Sum of observed end-to-end latencies, microseconds.
-    latency_sum_micros: u64,
-    /// Full end-to-end latency distribution, microseconds.
-    latency: LogHistogram,
-}
-
-/// The node's local delivery counters, reported over the wire via
-/// [`Message::StatsReport`] — no memory is shared with the coordinator.
-///
-/// Shared with the reactor path; the interior lock is uncontended there
-/// (one event-loop thread per node) but keeps the type identical across
-/// both hosting modes.
-#[derive(Debug, Default)]
-pub(crate) struct NodeStats {
-    /// Per-stream delivery accounting at this site.
-    delivered: Mutex<BTreeMap<StreamId, StreamStats>>,
-    total: AtomicU64,
-    max_latency_micros: AtomicU64,
-}
-
-impl NodeStats {
-    pub(crate) fn record(&self, stream: StreamId, latency_micros: u64, degraded: bool) {
-        let mut delivered = self.delivered.lock();
-        let entry = delivered.entry(stream).or_default();
-        entry.delivered += 1;
-        entry.degraded += u64::from(degraded);
-        entry.latency_sum_micros += latency_micros;
-        entry.latency.record(latency_micros);
-        drop(delivered);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.max_latency_micros
-            .fetch_max(latency_micros, Ordering::Relaxed);
-    }
-
-    pub(crate) fn report(&self, probe: u64) -> Message {
-        let streams = self
-            .delivered
-            .lock()
-            .iter()
-            .map(|(&stream, stats)| StreamDelivery {
-                stream,
-                delivered: stats.delivered,
-                delivered_degraded: stats.degraded,
-                latency_sum_micros: stats.latency_sum_micros,
-                latency: stats.latency.clone(),
-            })
-            .collect();
-        Message::StatsReport {
-            probe,
-            total: self.total.load(Ordering::Relaxed),
-            max_latency_micros: self.max_latency_micros.load(Ordering::Relaxed),
-            streams,
-        }
-    }
-}
-
-/// State shared by the node's accept loop and per-connection readers.
+/// State shared by the node's accept loop, readers and publishers.
 struct NodeShared {
     site: SiteId,
     /// The address this node *advertises*: what the coordinator dials
@@ -191,28 +58,17 @@ struct NodeShared {
     /// self-connect and wake the accept loop at shutdown (a wildcard
     /// bind maps to loopback).
     wake: SocketAddr,
-    /// The live forwarding table; swapped atomically by `Reconfigure`.
-    table: Mutex<ForwardingTable>,
+    /// The protocol state machine, locked only while it handles one
+    /// message; its effects are performed after the lock is released.
+    core: Mutex<RpCore>,
     /// Outbound (this RP → child) data connections, opened by `OpenLink`
     /// orders — the node dials its own upstream targets.
     outbound: Mutex<BTreeMap<SiteId, TcpStream>>,
-    /// The coordinator control channel (write half) with the attach
-    /// generation that installed it, designated by `Attach`. One lock
-    /// serializes every control-bound write so reader threads cannot
-    /// interleave message bytes. A later `Attach` atomically replaces the
-    /// channel (latest wins); the generation lets the reader serving a
-    /// *replaced* channel exit without clobbering its successor.
-    control: Mutex<Option<(u64, TcpStream)>>,
-    /// Monotonic counter of `Attach` orders ever honored, numbering the
-    /// control-channel generations.
-    control_generation: AtomicU64,
-    /// Upstream sites with live inbound data connections (`Hello`
-    /// attribution counts, so an overlapping close/reopen never drops
-    /// the peer from the set early). Reported by `ResyncReply`.
-    inbound: Mutex<BTreeMap<SiteId, u32>>,
-    stats: NodeStats,
-    /// Ring of recent structured events (reconfigures, link churn) for
-    /// post-mortem inspection; never crosses the wire.
+    /// The connection the latest `Attach` arrived on, shared with the
+    /// reader serving it. One lock serializes every control-bound write
+    /// so reader threads cannot interleave message bytes.
+    control: Mutex<Option<Arc<TcpStream>>>,
+    /// The core's flight recorder (clones share the ring).
     recorder: FlightRecorder,
     stop: AtomicBool,
     /// Socket deadline for dials and writes; also the idle wake-up period
@@ -221,111 +77,62 @@ struct NodeShared {
 }
 
 impl NodeShared {
-    /// Child links and planned quality of `stream` under the current
-    /// table.
-    fn entry_of(&self, stream: StreamId) -> (Vec<ChildLink>, Quality) {
-        plan_entry(&self.table.lock().plan, stream)
-    }
-
-    /// Children of `stream` under the current table.
-    fn children_of(&self, stream: StreamId) -> Vec<SiteId> {
-        self.entry_of(stream)
-            .0
-            .into_iter()
-            .map(|c| c.site)
-            .collect()
-    }
-
-    /// Forwards one frame — arriving at `tagged` quality — to this RP's
-    /// planned children for `stream`. Each outgoing copy is degraded to
-    /// the coarsest of the tag, this RP's own planned rung, and the
-    /// *child's* rung from the plan's [`ChildLink`]: the payload is
-    /// sized down one halving per extra rung and re-tagged, so quality
-    /// only ever degrades along a path and the hop *into* a degraded
-    /// receiver carries exactly the degraded bytes — this is where the
-    /// admission path's per-site budget relief actually lands on the
-    /// wire. Returns the effective rung this RP itself delivers at (tag
-    /// vs own plan), which its stats record.
-    fn forward(
-        &self,
-        stream: StreamId,
-        seq: u64,
-        captured_micros: u64,
-        payload: &Bytes,
-        tagged: Quality,
-    ) -> Quality {
-        let (children, planned) = self.entry_of(stream);
-        let effective = tagged.max(planned);
-        if children.is_empty() {
-            return effective;
-        }
-        let copies = encode_frame_copies(
-            stream,
-            seq,
-            captured_micros,
-            payload,
-            tagged,
-            effective,
-            &children,
-        );
-        let mut outbound = self.outbound.lock();
-        for (site, buf) in copies {
-            if let Some(conn) = outbound.get_mut(&site) {
-                // A failed forward drops that downstream subtree; the run
-                // then surfaces it as missing deliveries.
-                let _ = conn.write_all(&buf);
+    /// Performs the core's effects in order, draining `effects`. Returns
+    /// false when one of them drops the connection the message came
+    /// from.
+    fn execute(self: &Arc<Self>, effects: &mut Vec<Effect>) -> bool {
+        let mut keep = true;
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::ToChild { child, bytes } => {
+                    if let Some(conn) = self.outbound.lock().get_mut(&child) {
+                        let _ = conn.write_all(&bytes);
+                    }
+                }
+                Effect::ToControl(bytes) => {
+                    if let Some(mut conn) = self.control.lock().as_deref() {
+                        let _ = conn.write_all(&bytes);
+                    }
+                }
+                Effect::OpenLink { child, addr, hello } => {
+                    let _ = self.open_link(child, addr, &hello);
+                }
+                Effect::CloseLink { child } => self.close_link(child),
+                Effect::Publish(batch) => {
+                    // Each batch paces on its own thread: two origin
+                    // streams at one site interleave at the shared cadence
+                    // instead of doubling the batch's wall time
+                    // back-to-back, and a paced batch never stalls the
+                    // control channel. The thread is untracked — the
+                    // coordinator's publish() waits for its BatchDone, so
+                    // it never outlives a graceful run.
+                    let publisher = Arc::clone(self);
+                    thread::spawn(move || publisher.publish_batch(&batch));
+                }
+                Effect::Shutdown => {
+                    // Wake the accept loop; it re-checks the stop flag.
+                    self.stop.store(true, Ordering::SeqCst);
+                    let _ = TcpStream::connect(self.wake);
+                }
+                Effect::Disconnect => keep = false,
             }
         }
-        effective
+        keep
     }
 
-    /// Cascades `stream`'s `End` marker to its children: the graceful
-    /// per-stream termination signal. Connections themselves outlive the
-    /// stream (they may carry others, or pick new ones up at the next
-    /// reconfiguration).
-    fn end_stream(&self, stream: StreamId) {
-        let children = self.children_of(stream);
-        if children.is_empty() {
-            return;
-        }
-        let mut buf = BytesMut::new();
-        encode(&Message::End { stream }, &mut buf);
-        let mut outbound = self.outbound.lock();
-        for child in children {
-            if let Some(conn) = outbound.get_mut(&child) {
-                let _ = conn.write_all(&buf);
-            }
-        }
-    }
-
-    /// Sends one message up the attached control channel (best effort: a
-    /// detached or dead coordinator drops the notification — this is the
-    /// ack-suppression the resync contract relies on).
-    fn notify(&self, message: &Message) {
-        let mut buf = BytesMut::new();
-        encode(message, &mut buf);
-        let mut control = self.control.lock();
-        if let Some((_, conn)) = control.as_mut() {
-            let _ = conn.write_all(&buf);
-        }
-    }
-
-    /// Executes an `OpenLink` order: dial the child, open with the
-    /// `Hello` preamble, register the outbound link. Failure is silent on
-    /// this side — the coordinator observes it as a missing `LinkUp`.
-    fn open_link(&self, child: SiteId, addr: SocketAddr) -> io::Result<()> {
+    /// Dials the child, opens with the `Hello` preamble, and registers
+    /// the outbound link.
+    fn open_link(&self, child: SiteId, addr: SocketAddr, hello: &[u8]) -> io::Result<()> {
         let mut conn = TcpStream::connect(addr)?;
         conn.set_nodelay(true).ok();
         conn.set_write_timeout(Some(self.timeout)).ok();
-        let mut buf = BytesMut::new();
-        encode(&Message::Hello { site: self.site }, &mut buf);
-        conn.write_all(&buf)?;
+        conn.write_all(hello)?;
         self.outbound.lock().insert(child, conn);
         Ok(())
     }
 
-    /// Executes a `CloseLink` order: write-shut and drop the link so the
-    /// child observes EOF (and reports `LinkDown`).
+    /// Write-shuts and drops the link so the child observes EOF (and
+    /// reports `LinkDown`).
     fn close_link(&self, child: SiteId) {
         // Detach under the lock, shut down after releasing it: shutdown
         // can block on the peer's TCP stack and must not stall forwards.
@@ -335,57 +142,30 @@ impl NodeShared {
         }
     }
 
-    /// Executes a `Publish` order: inject a batch of synthetic frames of
-    /// a locally originated stream into the overlay.
-    fn publish_batch(
-        &self,
-        stream: StreamId,
-        base_seq: u64,
-        frames: u64,
-        payload_bytes: u32,
-        interval_micros: u64,
-    ) {
-        let payload = Bytes::from(vec![0x3D; payload_bytes as usize]);
-        for seq in base_seq..base_seq.saturating_add(frames) {
-            // The origin publishes at full quality; `forward` degrades
-            // (sizes and tags) to the origin entry's planned rung.
-            self.forward(stream, seq, unix_micros(), &payload, Quality::FULL);
-            if interval_micros > 0 {
-                thread::sleep(Duration::from_micros(interval_micros));
+    /// Paces one publish batch on the calling thread, then reports it
+    /// done.
+    fn publish_batch(self: &Arc<Self>, batch: &PublishBatch) {
+        let mut effects = Vec::new();
+        for seq in batch.base_seq..batch.end_seq {
+            self.core
+                .lock()
+                .originate(unix_micros(), batch, seq, &mut effects);
+            self.execute(&mut effects);
+            if batch.interval_micros > 0 {
+                thread::sleep(Duration::from_micros(batch.interval_micros));
             }
         }
+        self.core.lock().batch_done(batch, &mut effects);
+        self.execute(&mut effects);
     }
 
-    /// Idempotent teardown: cascade `End` markers for locally originated
-    /// streams, write-shut every outbound link, and wake the accept loop
-    /// so the node exits.
-    fn begin_shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let origins: Vec<StreamId> = {
-            let table = self.table.lock();
-            table
-                .plan
-                .entries
-                .iter()
-                .filter(|e| e.is_origin() && !e.children.is_empty())
-                .map(|e| e.stream)
-                .collect()
-        };
-        for stream in origins {
-            self.end_stream(stream);
-        }
-        // Take the whole map under a scoped lock, then shut the links
-        // down and dial the wake socket with no guard held.
-        let links: Vec<TcpStream> = std::mem::take(&mut *self.outbound.lock())
-            .into_values()
-            .collect();
-        for conn in links {
-            let _ = conn.shutdown(Shutdown::Write);
-        }
-        // Wake the accept loop; it re-checks the stop flag.
-        let _ = TcpStream::connect(self.wake);
+    /// Idempotent teardown: the core's shutdown cascade (`End` markers
+    /// for locally originated streams, every outbound link write-shut),
+    /// then the accept loop wakes and exits.
+    fn begin_shutdown(self: &Arc<Self>) {
+        let mut effects = Vec::new();
+        self.core.lock().stop(&mut effects);
+        self.execute(&mut effects);
     }
 }
 
@@ -469,18 +249,16 @@ impl RpNode {
                 std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
             });
         }
+        let recorder = FlightRecorder::new();
         Ok(RpNode {
             shared: Arc::new(NodeShared {
                 site,
                 advertise,
                 wake,
-                table: Mutex::new(ForwardingTable::empty(site)),
+                core: Mutex::new(RpCore::new(site, recorder.clone())),
                 outbound: Mutex::new(BTreeMap::new()),
                 control: Mutex::new(None),
-                control_generation: AtomicU64::new(0),
-                inbound: Mutex::new(BTreeMap::new()),
-                stats: NodeStats::default(),
-                recorder: FlightRecorder::new(),
+                recorder,
                 stop: AtomicBool::new(false),
                 timeout: read_timeout,
             }),
@@ -511,8 +289,8 @@ impl RpNode {
     }
 
     /// Runs the node on the calling thread until it is shut down (by a
-    /// coordinator [`Message::Shutdown`] or a local signal) — the entry
-    /// point for a standalone RP process.
+    /// coordinator `Shutdown` order or a local signal) — the entry point
+    /// for a standalone RP process.
     pub fn run(self) {
         self.spawn().join();
     }
@@ -541,8 +319,8 @@ impl RpNodeHandle {
         &self.shared.recorder
     }
 
-    /// Begins local teardown, as if a [`Message::Shutdown`] order had
-    /// arrived: end-markers cascade, outbound links write-shut, the
+    /// Begins local teardown, as if a `Shutdown` order had arrived:
+    /// end-markers cascade, outbound links write-shut, the
     /// accept loop wakes and exits. Idempotent; does not block.
     pub fn stop(&self) {
         self.shared.begin_shutdown();
@@ -579,186 +357,46 @@ fn accept_loop(listener: TcpListener, shared: &Arc<NodeShared>) {
         conn.set_read_timeout(Some(shared.timeout)).ok();
         conn.set_write_timeout(Some(shared.timeout)).ok();
         conn.set_nodelay(true).ok();
+        let role = shared.core.lock().conn_role();
         let rp = Arc::clone(shared);
-        readers.push(thread::spawn(move || reader_loop(conn, &rp)));
+        readers.push(thread::spawn(move || reader_loop(conn, role, &rp)));
     }
     for reader in readers {
         let _ = reader.join();
     }
 }
 
-/// Serves one inbound connection until EOF/`Bye`/shutdown: records and
-/// forwards frames, cascades per-stream `End` markers, executes
-/// coordinator orders, and reports link attribution changes up the
-/// control channel.
-///
-/// Orders arriving on one connection are executed strictly in arrival
-/// order — a `Reconfigure` queued behind an `OpenLink` on the control
-/// channel only runs once the new link is fully registered, which is what
-/// lets the coordinator sequence reconfigurations without shared memory.
-fn reader_loop(mut conn: TcpStream, rp: &Arc<NodeShared>) {
+/// Serves one connection until EOF, a dropped link or shutdown: every
+/// decoded message goes to the core, and the reader performs the
+/// effects before reading the next one, so orders arriving on one
+/// connection are executed strictly in arrival order.
+fn reader_loop(conn: TcpStream, mut role: ConnRole, rp: &Arc<NodeShared>) {
+    let conn = Arc::new(conn);
     let mut buf = BytesMut::with_capacity(64 * 1024);
     let mut chunk = [0u8; 64 * 1024];
-    let mut peer: Option<SiteId> = None;
-    // The control-channel generation this connection last attached as,
-    // if it ever did. Lets the exit path clear `control` only when this
-    // reader's channel is still the attached one — a re-`Attach` by a
-    // reconnected coordinator must never be clobbered by the old
-    // channel's reader dying late.
-    let mut attached: Option<u64> = None;
+    let mut effects = Vec::new();
     loop {
         match decode(&mut buf) {
-            Ok(Some(Message::Frame {
-                stream,
-                quality,
-                seq,
-                captured_micros,
-                payload,
-            })) => {
-                // Deliver at the effective rung (the coarser of the wire
-                // tag and this RP's planned quality) and pass the frame
-                // on, further degraded if the plan says so.
-                let effective = rp.forward(stream, seq, captured_micros, &payload, quality);
-                rp.stats.record(
-                    stream,
-                    unix_micros().saturating_sub(captured_micros),
-                    !effective.is_full(),
-                );
-                continue;
-            }
-            Ok(Some(Message::End { stream })) => {
-                rp.end_stream(stream);
-                continue;
-            }
-            Ok(Some(Message::Hello { site })) => {
-                // Attribute the link and tell the coordinator the data
-                // path is up — this replaces its old shared-memory poll.
-                peer = Some(site);
-                *rp.inbound.lock().entry(site).or_insert(0) += 1;
-                rp.recorder.record(FlightEventKind::LinkUp {
-                    parent: site.index() as u32,
-                    child: rp.site.index() as u32,
-                });
-                rp.notify(&Message::LinkUp { peer: site });
-                continue;
-            }
-            Ok(Some(Message::Reconfigure {
-                revision,
-                site_plan,
-            })) => {
-                {
-                    // A replayed order for an older revision must not roll
-                    // the table back; it is still acknowledged so a
-                    // coordinator retry converges.
-                    let mut table = rp.table.lock();
-                    if revision >= table.revision {
-                        table.revision = revision;
-                        table.plan = site_plan;
-                    }
+            Ok(Some(message)) => {
+                let attached = role.attached();
+                let mut core = rp.core.lock();
+                core.handle(unix_micros(), &mut role, message, &mut effects);
+                if role.attached() != attached {
+                    // Installed under the core lock, so two racing
+                    // `Attach`es fill the slot in generation order.
+                    *rp.control.lock() = Some(Arc::clone(&conn));
                 }
-                // Epoch boundary: everything sent after this Ack is routed
-                // by the new table.
-                rp.recorder
-                    .record(FlightEventKind::Reconfigure { revision, sites: 1 });
-                rp.notify(&Message::Ack { revision });
-                continue;
-            }
-            Ok(Some(Message::Attach)) => {
-                match conn.try_clone() {
-                    Ok(clone) => {
-                        // Latest attach wins: a reconnected coordinator's
-                        // fresh channel atomically replaces a dead one.
-                        let generation = rp.control_generation.fetch_add(1, Ordering::Relaxed) + 1;
-                        *rp.control.lock() = Some((generation, clone));
-                        attached = Some(generation);
-                    }
-                    Err(_) => break,
+                drop(core);
+                if rp.execute(&mut effects) {
+                    continue;
                 }
-                continue;
-            }
-            Ok(Some(Message::ResyncQuery { probe })) => {
-                // Describe this RP as it stands *now*: the last-applied
-                // table revision and the attributed inbound peers. The
-                // reply is a snapshot — the coordinator must still close
-                // the round with a re-dictation barrier.
-                let revision = rp.table.lock().revision;
-                let inbound: Vec<SiteId> = rp
-                    .inbound
-                    .lock()
-                    .iter()
-                    .filter(|(_, &count)| count > 0)
-                    .map(|(&site, _)| site)
-                    .collect();
-                rp.recorder.record(FlightEventKind::ResyncStart);
-                rp.notify(&Message::ResyncReply {
-                    probe,
-                    revision,
-                    inbound,
-                });
-                continue;
-            }
-            Ok(Some(Message::OpenLink { child, addr })) => {
-                // Failure is observed by the coordinator as a missing
-                // LinkUp from the child.
-                let _ = rp.open_link(child, addr);
-                continue;
-            }
-            Ok(Some(Message::CloseLink { child })) => {
-                rp.close_link(child);
-                continue;
-            }
-            Ok(Some(Message::Publish {
-                stream,
-                base_seq,
-                frames,
-                payload_bytes,
-                interval_micros,
-            })) => {
-                // Each batch paces on its own thread: two origin streams
-                // at one site interleave at the shared cadence instead of
-                // doubling the batch's wall time back-to-back, and a
-                // paced batch never stalls the control channel. The
-                // thread is untracked — the coordinator's publish() waits
-                // for its BatchDone, so it never outlives a graceful run.
-                let publisher = Arc::clone(rp);
-                thread::spawn(move || {
-                    publisher.publish_batch(
-                        stream,
-                        base_seq,
-                        frames,
-                        payload_bytes,
-                        interval_micros,
-                    );
-                    publisher.notify(&Message::BatchDone {
-                        stream,
-                        next_seq: base_seq.saturating_add(frames),
-                    });
-                });
-                continue;
-            }
-            Ok(Some(Message::StatsRequest { probe })) => {
-                rp.notify(&rp.stats.report(probe));
-                continue;
-            }
-            Ok(Some(Message::Shutdown)) => {
-                rp.begin_shutdown();
                 break;
             }
-            // RP-bound traffic never includes coordinator-bound replies;
-            // drop the link on protocol violations and undecodable bytes.
-            Ok(Some(
-                Message::Bye
-                | Message::Ack { .. }
-                | Message::LinkUp { .. }
-                | Message::LinkDown { .. }
-                | Message::BatchDone { .. }
-                | Message::StatsReport { .. }
-                | Message::ResyncReply { .. },
-            ))
-            | Err(_) => break,
             Ok(None) => {}
+            // Undecodable bytes drop the link.
+            Err(_) => break,
         }
-        match conn.read(&mut chunk) {
+        match (&*conn).read(&mut chunk) {
             Ok(0) => break,
             Ok(read) => buf.extend_from_slice(&chunk[..read]),
             // The read timeout (WouldBlock on Unix, TimedOut on Windows)
@@ -777,46 +415,27 @@ fn reader_loop(mut conn: TcpStream, rp: &Arc<NodeShared>) {
             Err(_) => break,
         }
     }
-    // De-attribute the link: the coordinator observes a `closed` pair die
-    // through this notification.
-    if let Some(site) = peer {
-        {
-            let mut inbound = rp.inbound.lock();
-            if let Some(count) = inbound.get_mut(&site) {
-                *count = count.saturating_sub(1);
-                if *count == 0 {
-                    inbound.remove(&site);
-                }
-            }
-        }
-        rp.recorder.record(FlightEventKind::LinkDown {
-            parent: site.index() as u32,
-            child: rp.site.index() as u32,
-        });
-        rp.notify(&Message::LinkDown { peer: site });
-    }
-    // If this reader served the *currently attached* control channel, the
-    // coordinator is gone: detach so acks stop flowing into a dead socket
-    // (notify becomes a no-op) until a re-`Attach` arrives. A channel
-    // already replaced by a newer generation is left alone.
-    if let Some(generation) = attached {
-        let detached = {
-            let mut control = rp.control.lock();
-            let mine = control.as_ref().is_some_and(|(g, _)| *g == generation);
-            if mine {
-                *control = None;
-            }
-            mine
-        };
-        if detached {
-            rp.recorder.record(FlightEventKind::CoordinatorLost);
+    {
+        let mut core = rp.core.lock();
+        core.on_close(&mut role, &mut effects);
+        // Release this socket from the control slot unless a newer
+        // `Attach` already took it over.
+        let mut control = rp.control.lock();
+        if control.as_ref().is_some_and(|c| Arc::ptr_eq(c, &conn)) {
+            *control = None;
         }
     }
+    rp.execute(&mut effects);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use teeve_pubsub::{ChildLink, SitePlan};
+    use teeve_types::{Quality, StreamId};
+
+    use crate::wire::{encode, Message};
 
     #[test]
     fn socket_connection_accepted_after_stop_is_dropped_not_served() {

@@ -3,11 +3,10 @@
 //! The thread-per-connection [`RpNode`](crate::RpNode) spends ~2 + L
 //! threads per RP (accept loop, control reader, one reader per inbound
 //! link), which caps an in-process fleet at a few dozen sites. The
-//! [`Reactor`] hosts the *same* protocol state machine — the full
-//! `reader_loop` dispatch table, byte-identical forwarding via the shared
-//! [`encode_frame_copies`](crate::node::encode_frame_copies) encoder —
-//! on a small pool of non-blocking event loops, so thousands of RPs fit
-//! in one process at a fixed thread budget.
+//! [`Reactor`] executes the *same* protocol state machine — each node
+//! owns one [`RpCore`], and the loop performs the [`Effect`]s its
+//! `handle` writes — on a small pool of non-blocking event loops, so
+//! thousands of RPs fit in one process at a fixed thread budget.
 //!
 //! Per event-loop iteration:
 //!
@@ -16,8 +15,9 @@
 //!    a command (register a node, stop one, quit).
 //! 2. **Read** — drain every readable connection to `WouldBlock`,
 //!    decoding frames and orders incrementally out of a per-connection
-//!    read buffer and dispatching them exactly as the threaded
-//!    `reader_loop` would.
+//!    read buffer, handing each to the node's core and executing the
+//!    effects it returns (writes are queued, dials and closes run
+//!    inline).
 //! 3. **Write** — outgoing bytes accumulate in a per-connection pending
 //!    buffer; all connections dirtied during the iteration flush once at
 //!    the end (writes coalesce per wakeup), and a connection whose
@@ -25,9 +25,10 @@
 //!    A connection whose backlog exceeds the cap sheds new frames — the
 //!    non-blocking analog of a failed blocking write dropping a subtree.
 //! 4. **Timers** — paced `Publish` batches are due-time entries in a
-//!    timer map (no sleeping publisher threads); each firing forwards
-//!    one frame and re-arms, and the final firing reports `BatchDone`
-//!    one interval after the last frame, matching the threaded pacing.
+//!    timer map (no sleeping publisher threads); each firing asks the
+//!    core for one frame and re-arms, and the final firing reports
+//!    `BatchDone` one interval after the last frame, matching the
+//!    threaded pacing.
 //!
 //! Ownership is strictly per-loop: a node and all its connections live
 //! on exactly one event loop, so node state needs no locks at all. The
@@ -51,10 +52,11 @@ use parking_lot::Mutex;
 use teeve_telemetry::{
     Counter, FlightEventKind, FlightRecorder, Gauge, Histogram, MetricsRegistry,
 };
-use teeve_types::{Quality, SiteId, StreamId};
+use teeve_types::SiteId;
 
-use crate::node::{encode_frame_copies, plan_entry, unix_micros, ForwardingTable, NodeStats};
-use crate::wire::{decode, encode, Message};
+use crate::node::unix_micros;
+use crate::rp::{ConnRole, Effect, PublishBatch, RpCore};
+use crate::wire::{decode, Message};
 
 /// The waker's token — far outside any slab index.
 const WAKE: Token = Token(usize::MAX);
@@ -90,36 +92,26 @@ struct NodeSeed {
     key: u64,
     site: SiteId,
     listener: std::net::TcpListener,
-    stats: Arc<NodeStats>,
     recorder: FlightRecorder,
     done: Arc<AtomicBool>,
 }
 
-/// One RP hosted on an event loop: the same protocol state the threaded
-/// [`NodeShared`](crate::node) keeps behind locks, owned lock-free by
-/// its loop.
+/// One RP hosted on an event loop: its protocol core, owned lock-free by
+/// the loop, beside the sockets that carry out the core's effects.
 struct NodeState {
     key: u64,
-    site: SiteId,
     /// Slab token of the node's listener while it accepts.
     listener_token: Option<usize>,
-    table: ForwardingTable,
+    /// The protocol state machine. Once it is stopping, no new conns are
+    /// accepted and the node is removed when its last connection dies.
+    core: RpCore,
     /// Outbound (this RP → child) links by child site, as slab tokens.
     outbound: BTreeMap<SiteId, usize>,
-    /// `Hello`-attributed inbound peers (refcounted, as in the threaded
-    /// node, so an overlapping close/reopen never drops a peer early).
-    inbound: BTreeMap<SiteId, u32>,
     /// Every live connection token belonging to this node.
     conns: BTreeSet<usize>,
-    /// The attached control channel: (generation, conn token).
-    control: Option<(u64, usize)>,
-    control_generation: u64,
-    stats: Arc<NodeStats>,
-    recorder: FlightRecorder,
+    /// Token of the connection the latest `Attach` arrived on.
+    control: Option<usize>,
     done: Arc<AtomicBool>,
-    /// Set by `Shutdown`/`StopNode`: no new conns are accepted and the
-    /// node is removed once its last connection dies.
-    stopping: bool,
 }
 
 /// One registered connection and its buffers.
@@ -140,10 +132,8 @@ struct Conn {
     closing: bool,
     /// Queued in the loop's dirty list for the end-of-iteration flush.
     dirty: bool,
-    /// `Hello`-attributed upstream peer (inbound data connections).
-    peer: Option<SiteId>,
-    /// Control generation this connection attached as, if it ever did.
-    attached: Option<u64>,
+    /// The connection's protocol state, handed to the core.
+    role: ConnRole,
     /// The child site this connection was dialed for (outbound links).
     outbound_child: Option<SiteId>,
 }
@@ -159,11 +149,8 @@ enum Entry {
 /// interval after the last frame — the threaded publisher's timing.
 struct PacedBatch {
     node_key: u64,
-    stream: StreamId,
     next_seq: u64,
-    end_seq: u64,
-    interval_micros: u64,
-    payload: Bytes,
+    batch: PublishBatch,
 }
 
 /// Shared metric handles one loop updates (all loops share the same
@@ -218,6 +205,8 @@ struct LoopState {
     /// Connections with bytes queued this iteration, flushed once at
     /// its end.
     dirty: Vec<usize>,
+    /// Reused buffer the cores write their effects into.
+    effects: Vec<Effect>,
     metrics: LoopMetrics,
 }
 
@@ -234,6 +223,7 @@ impl LoopState {
             timers: BTreeMap::new(),
             timer_seq: 0,
             dirty: Vec::new(),
+            effects: Vec::new(),
             metrics,
         }
     }
@@ -262,13 +252,6 @@ impl LoopState {
         }
     }
 
-    fn conn_node(&self, token: usize) -> Option<usize> {
-        match self.entries.get(token).and_then(Option::as_ref) {
-            Some(Entry::Conn(conn)) => Some(conn.node),
-            _ => None,
-        }
-    }
-
     fn node_ref(&self, idx: usize) -> Option<&NodeState> {
         self.nodes.get(idx).and_then(Option::as_ref)
     }
@@ -290,7 +273,6 @@ impl LoopState {
             key,
             site,
             listener,
-            stats,
             recorder,
             done,
         } = seed;
@@ -323,18 +305,12 @@ impl LoopState {
         if let Some(slot) = self.nodes.get_mut(node_idx) {
             *slot = Some(NodeState {
                 key,
-                site,
                 listener_token: Some(token),
-                table: ForwardingTable::empty(site),
+                core: RpCore::new(site, recorder),
                 outbound: BTreeMap::new(),
-                inbound: BTreeMap::new(),
                 conns: BTreeSet::new(),
                 control: None,
-                control_generation: 0,
-                stats,
-                recorder,
                 done,
-                stopping: false,
             });
         }
         self.node_keys.insert(key, node_idx);
@@ -342,37 +318,10 @@ impl LoopState {
         self.metrics.refresh_ratio();
     }
 
-    /// Graceful teardown, mirroring the threaded `begin_shutdown`:
-    /// cascade `End` for locally originated streams, flush-then-shut
-    /// every outbound link, stop accepting. The node is removed once
-    /// its last connection dies (inbound links die by peer EOF).
-    fn shutdown_node(&mut self, node_idx: usize) {
-        let origins: Vec<StreamId> = {
-            let Some(node) = self.node_mut(node_idx) else {
-                return;
-            };
-            if node.stopping {
-                return;
-            }
-            node.stopping = true;
-            node.table
-                .plan
-                .entries
-                .iter()
-                .filter(|e| e.is_origin() && !e.children.is_empty())
-                .map(|e| e.stream)
-                .collect()
-        };
-        for stream in origins {
-            self.end_stream(node_idx, stream);
-        }
-        let outbound: Vec<usize> = self
-            .node_ref(node_idx)
-            .map(|n| n.outbound.values().copied().collect())
-            .unwrap_or_default();
-        for token in outbound {
-            self.begin_close(token);
-        }
+    /// The core's `Shutdown` effect: stop accepting. The node is
+    /// removed once its last connection dies (inbound links die by peer
+    /// EOF).
+    fn stop_accepting(&mut self, node_idx: usize) {
         let listener_token = self
             .node_mut(node_idx)
             .and_then(|n| n.listener_token.take());
@@ -403,7 +352,7 @@ impl LoopState {
     fn maybe_finish_node(&mut self, node_idx: usize) {
         let finished = self
             .node_ref(node_idx)
-            .is_some_and(|n| n.stopping && n.conns.is_empty() && n.listener_token.is_none());
+            .is_some_and(|n| n.core.stopping() && n.conns.is_empty() && n.listener_token.is_none());
         if finished {
             self.remove_node(node_idx);
         }
@@ -446,14 +395,14 @@ impl LoopState {
         self.node_free.push(node_idx);
     }
 
-    /// `StopNode` command: graceful teardown, a best-effort flush of
-    /// the `End` cascade, then immediate removal (the forced analog of
-    /// the threaded `stop()` + reader timeouts).
+    /// `StopNode` command: the core's shutdown cascade, a best-effort
+    /// flush of it, then immediate removal (the forced analog of the
+    /// threaded `stop()` + reader timeouts).
     fn stop_node(&mut self, key: u64) {
         let Some(&node_idx) = self.node_keys.get(&key) else {
             return;
         };
-        self.shutdown_node(node_idx);
+        self.run_core(node_idx, RpCore::stop);
         self.flush_dirty();
         self.remove_node(node_idx);
     }
@@ -499,13 +448,20 @@ impl LoopState {
                     // Same race rule as the threaded accept loop: a
                     // connection arriving after teardown began is
                     // dropped on the floor (the peer sees EOF).
-                    let stopping = self.node_ref(node_idx).map(|n| n.stopping).unwrap_or(true);
+                    let stopping = self
+                        .node_ref(node_idx)
+                        .map(|n| n.core.stopping())
+                        .unwrap_or(true);
                     if stopping {
                         drop(stream);
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    self.add_conn(stream, node_idx, true, None);
+                    let role = self
+                        .node_mut(node_idx)
+                        .map(|n| n.core.conn_role())
+                        .unwrap_or_default();
+                    self.add_conn(stream, node_idx, true, role, None);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -519,6 +475,7 @@ impl LoopState {
         mut stream: TcpStream,
         node_idx: usize,
         connected: bool,
+        role: ConnRole,
         outbound_child: Option<SiteId>,
     ) -> Option<usize> {
         let token = self.alloc_token();
@@ -548,8 +505,7 @@ impl LoopState {
                 connected,
                 closing: false,
                 dirty: false,
-                peer: None,
-                attached: None,
+                role,
                 outbound_child,
             }),
         );
@@ -640,7 +596,7 @@ impl LoopState {
             };
             match decoded {
                 Ok(Some(message)) => {
-                    if !self.dispatch(token, message) {
+                    if !self.handle_message(token, message) {
                         return false;
                     }
                 }
@@ -653,250 +609,98 @@ impl LoopState {
         }
     }
 
-    /// The threaded `reader_loop` dispatch table, verbatim in effect.
+    /// Hands one message to its node's core and executes the effects.
     /// Returns false when the connection was closed by the message.
-    fn dispatch(&mut self, token: usize, message: Message) -> bool {
-        let Some(node_idx) = self.conn_node(token) else {
-            return false;
-        };
-        match message {
-            Message::Frame {
-                stream,
-                quality,
-                seq,
-                captured_micros,
-                payload,
-            } => {
-                let effective =
-                    self.forward_frame(node_idx, stream, seq, captured_micros, &payload, quality);
-                if let Some(node) = self.node_ref(node_idx) {
-                    node.stats.record(
-                        stream,
-                        unix_micros().saturating_sub(captured_micros),
-                        !effective.is_full(),
-                    );
+    fn handle_message(&mut self, token: usize, message: Message) -> bool {
+        let mut effects = std::mem::take(&mut self.effects);
+        let mut node_idx = None;
+        if let Some(Entry::Conn(conn)) = self.entries.get_mut(token).and_then(Option::as_mut) {
+            if let Some(node) = self.nodes.get_mut(conn.node).and_then(Option::as_mut) {
+                let attached = conn.role.attached();
+                node.core
+                    .handle(unix_micros(), &mut conn.role, message, &mut effects);
+                if conn.role.attached() != attached {
+                    node.control = Some(token);
                 }
-                true
-            }
-            Message::End { stream } => {
-                self.end_stream(node_idx, stream);
-                true
-            }
-            Message::Hello { site } => {
-                if let Some(node) = self.node_mut(node_idx) {
-                    *node.inbound.entry(site).or_insert(0) += 1;
-                    node.recorder.record(FlightEventKind::LinkUp {
-                        parent: site.index() as u32,
-                        child: node.site.index() as u32,
-                    });
-                }
-                if let Some(conn) = self.conn_mut(token) {
-                    conn.peer = Some(site);
-                }
-                self.notify(node_idx, &Message::LinkUp { peer: site });
-                true
-            }
-            Message::Reconfigure {
-                revision,
-                site_plan,
-            } => {
-                if let Some(node) = self.node_mut(node_idx) {
-                    // Replayed older revisions must not roll back, but
-                    // are still acknowledged so retries converge.
-                    if revision >= node.table.revision {
-                        node.table.revision = revision;
-                        node.table.plan = site_plan;
-                    }
-                    node.recorder
-                        .record(FlightEventKind::Reconfigure { revision, sites: 1 });
-                }
-                self.notify(node_idx, &Message::Ack { revision });
-                true
-            }
-            Message::Attach => {
-                let generation = {
-                    let Some(node) = self.node_mut(node_idx) else {
-                        return false;
-                    };
-                    node.control_generation += 1;
-                    node.control = Some((node.control_generation, token));
-                    node.control_generation
-                };
-                if let Some(conn) = self.conn_mut(token) {
-                    conn.attached = Some(generation);
-                }
-                true
-            }
-            Message::ResyncQuery { probe } => {
-                let reply = {
-                    let Some(node) = self.node_ref(node_idx) else {
-                        return false;
-                    };
-                    let inbound: Vec<SiteId> = node
-                        .inbound
-                        .iter()
-                        .filter(|(_, &count)| count > 0)
-                        .map(|(&site, _)| site)
-                        .collect();
-                    node.recorder.record(FlightEventKind::ResyncStart);
-                    Message::ResyncReply {
-                        probe,
-                        revision: node.table.revision,
-                        inbound,
-                    }
-                };
-                self.notify(node_idx, &reply);
-                true
-            }
-            Message::OpenLink { child, addr } => {
-                self.open_link(node_idx, child, addr);
-                true
-            }
-            Message::CloseLink { child } => {
-                self.close_link(node_idx, child);
-                true
-            }
-            Message::Publish {
-                stream,
-                base_seq,
-                frames,
-                payload_bytes,
-                interval_micros,
-            } => {
-                self.publish(
-                    node_idx,
-                    stream,
-                    base_seq,
-                    frames,
-                    payload_bytes,
-                    interval_micros,
-                );
-                true
-            }
-            Message::StatsRequest { probe } => {
-                let report = match self.node_ref(node_idx) {
-                    Some(node) => node.stats.report(probe),
-                    None => return false,
-                };
-                self.notify(node_idx, &report);
-                true
-            }
-            Message::Shutdown => {
-                self.shutdown_node(node_idx);
-                self.close_conn(token);
-                false
-            }
-            // RP-bound traffic never includes coordinator-bound
-            // replies; drop the link on protocol violations.
-            Message::Bye
-            | Message::Ack { .. }
-            | Message::LinkUp { .. }
-            | Message::LinkDown { .. }
-            | Message::BatchDone { .. }
-            | Message::StatsReport { .. }
-            | Message::ResyncReply { .. } => {
-                self.close_conn(token);
-                false
+                node_idx = Some(conn.node);
             }
         }
+        let alive = match node_idx {
+            Some(node_idx) => self.execute(node_idx, Some(token), &mut effects),
+            None => false,
+        };
+        self.effects = effects;
+        alive
     }
 
-    // ---- protocol actions -------------------------------------------
+    // ---- protocol effects -------------------------------------------
 
-    /// Forwards one frame through the shared per-rung encoder — the
-    /// same bytes the threaded `forward` puts on the wire.
-    fn forward_frame(
+    /// Runs one step of a node's core and executes the effects it
+    /// writes, reusing the loop's effect buffer.
+    fn run_core(&mut self, node_idx: usize, step: impl FnOnce(&mut RpCore, &mut Vec<Effect>)) {
+        let mut effects = std::mem::take(&mut self.effects);
+        if let Some(node) = self.node_mut(node_idx) {
+            step(&mut node.core, &mut effects);
+        }
+        self.execute(node_idx, None, &mut effects);
+        self.effects = effects;
+    }
+
+    /// Performs a node core's effects in order, draining `effects`.
+    /// `source` is the connection the message arrived on, if any.
+    /// Returns false when an effect closed it.
+    fn execute(
         &mut self,
         node_idx: usize,
-        stream: StreamId,
-        seq: u64,
-        captured_micros: u64,
-        payload: &Bytes,
-        tagged: Quality,
-    ) -> Quality {
-        let (children, planned) = match self.node_ref(node_idx) {
-            Some(node) => plan_entry(&node.table.plan, stream),
-            None => return tagged,
-        };
-        let effective = tagged.max(planned);
-        if children.is_empty() {
-            return effective;
-        }
-        let copies = encode_frame_copies(
-            stream,
-            seq,
-            captured_micros,
-            payload,
-            tagged,
-            effective,
-            &children,
-        );
-        for (site, bytes) in copies {
-            let target = self
-                .node_ref(node_idx)
-                .and_then(|n| n.outbound.get(&site).copied());
-            if let Some(conn_token) = target {
-                self.queue_write(conn_token, bytes);
+        source: Option<usize>,
+        effects: &mut Vec<Effect>,
+    ) -> bool {
+        let mut alive = true;
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::ToChild { child, bytes } => {
+                    let target = self
+                        .node_ref(node_idx)
+                        .and_then(|n| n.outbound.get(&child).copied());
+                    if let Some(conn_token) = target {
+                        self.queue_write(conn_token, bytes);
+                    }
+                }
+                Effect::ToControl(bytes) => {
+                    let target = self.node_ref(node_idx).and_then(|n| n.control);
+                    if let Some(conn_token) = target {
+                        self.queue_write(conn_token, bytes);
+                    }
+                }
+                Effect::OpenLink { child, addr, hello } => {
+                    self.open_link(node_idx, child, addr, hello);
+                }
+                Effect::CloseLink { child } => self.close_link(node_idx, child),
+                Effect::Publish(batch) => self.publish(node_idx, batch),
+                Effect::Shutdown => self.stop_accepting(node_idx),
+                Effect::Disconnect => {
+                    if let Some(token) = source {
+                        self.close_conn(token);
+                    }
+                    alive = false;
+                }
             }
         }
-        effective
+        alive
     }
 
-    fn end_stream(&mut self, node_idx: usize, stream: StreamId) {
-        let children: Vec<SiteId> = match self.node_ref(node_idx) {
-            Some(node) => plan_entry(&node.table.plan, stream)
-                .0
-                .into_iter()
-                .map(|c| c.site)
-                .collect(),
-            None => return,
-        };
-        if children.is_empty() {
-            return;
-        }
-        let mut buf = BytesMut::new();
-        encode(&Message::End { stream }, &mut buf);
-        let bytes = buf.freeze();
-        for child in children {
-            let target = self
-                .node_ref(node_idx)
-                .and_then(|n| n.outbound.get(&child).copied());
-            if let Some(conn_token) = target {
-                self.queue_write(conn_token, bytes.clone());
-            }
-        }
-    }
-
-    /// Best-effort control-channel send (a detached coordinator drops
-    /// the notification — the ack-suppression resync relies on).
-    fn notify(&mut self, node_idx: usize, message: &Message) {
-        let target = self
-            .node_ref(node_idx)
-            .and_then(|n| n.control.map(|(_, conn_token)| conn_token));
-        if let Some(conn_token) = target {
-            let mut buf = BytesMut::new();
-            encode(message, &mut buf);
-            self.queue_write(conn_token, buf.freeze());
-        }
-    }
-
-    fn open_link(&mut self, node_idx: usize, child: SiteId, addr: SocketAddr) {
-        let site = match self.node_ref(node_idx) {
-            Some(node) => node.site,
-            None => return,
-        };
+    fn open_link(&mut self, node_idx: usize, child: SiteId, addr: SocketAddr, hello: Bytes) {
         // Dial failure is silent on this side, as in the threaded node:
         // the coordinator observes it as a missing LinkUp.
         let Ok(stream) = TcpStream::connect(addr) else {
             return;
         };
         stream.set_nodelay(true).ok();
-        let Some(token) = self.add_conn(stream, node_idx, false, Some(child)) else {
+        let Some(token) = self.add_conn(stream, node_idx, false, ConnRole::default(), Some(child))
+        else {
             return;
         };
-        let mut buf = BytesMut::new();
-        encode(&Message::Hello { site }, &mut buf);
-        self.queue_write(token, buf.freeze());
+        self.queue_write(token, hello);
         let replaced = self
             .node_mut(node_idx)
             .and_then(|n| n.outbound.insert(child, token));
@@ -916,37 +720,16 @@ impl LoopState {
         }
     }
 
-    fn publish(
-        &mut self,
-        node_idx: usize,
-        stream: StreamId,
-        base_seq: u64,
-        frames: u64,
-        payload_bytes: u32,
-        interval_micros: u64,
-    ) {
-        let payload = Bytes::from(vec![0x3D; payload_bytes as usize]);
-        let end_seq = base_seq.saturating_add(frames);
-        if interval_micros == 0 {
+    fn publish(&mut self, node_idx: usize, batch: PublishBatch) {
+        if batch.interval_micros == 0 {
             // Unpaced: inject the whole batch inline, exactly as the
             // threaded publisher's zero-interval loop does.
-            for seq in base_seq..end_seq {
-                self.forward_frame(
-                    node_idx,
-                    stream,
-                    seq,
-                    unix_micros(),
-                    &payload,
-                    Quality::FULL,
-                );
+            for seq in batch.base_seq..batch.end_seq {
+                self.run_core(node_idx, |core, out| {
+                    core.originate(unix_micros(), &batch, seq, out);
+                });
             }
-            self.notify(
-                node_idx,
-                &Message::BatchDone {
-                    stream,
-                    next_seq: end_seq,
-                },
-            );
+            self.run_core(node_idx, |core, out| core.batch_done(&batch, out));
             return;
         }
         let node_key = match self.node_ref(node_idx) {
@@ -958,11 +741,8 @@ impl LoopState {
         self.schedule(
             PacedBatch {
                 node_key,
-                stream,
-                next_seq: base_seq,
-                end_seq,
-                interval_micros,
-                payload,
+                next_seq: batch.base_seq,
+                batch,
             },
             unix_micros(),
         );
@@ -989,39 +769,31 @@ impl LoopState {
                 Some((&(due, seq), _)) if due <= now => (due, seq),
                 _ => return,
             };
-            let Some(batch) = self.timers.remove(&key) else {
+            let Some(paced) = self.timers.remove(&key) else {
                 return;
             };
-            let Some(&node_idx) = self.node_keys.get(&batch.node_key) else {
+            let Some(&node_idx) = self.node_keys.get(&paced.node_key) else {
                 continue;
             };
-            if batch.next_seq >= batch.end_seq {
-                // Trailing firing: BatchDone one interval after the
-                // last frame, matching the threaded publisher (which
-                // sleeps once more after its final frame).
-                self.notify(
-                    node_idx,
-                    &Message::BatchDone {
-                        stream: batch.stream,
-                        next_seq: batch.end_seq,
-                    },
-                );
-                continue;
+            let done = paced.next_seq >= paced.batch.end_seq;
+            self.run_core(node_idx, |core, out| {
+                if done {
+                    // Trailing firing: BatchDone one interval after the
+                    // last frame, matching the threaded publisher (which
+                    // sleeps once more after its final frame).
+                    core.batch_done(&paced.batch, out);
+                } else {
+                    core.originate(now, &paced.batch, paced.next_seq, out);
+                }
+            });
+            if !done {
+                let due = now.saturating_add(paced.batch.interval_micros);
+                let rearmed = PacedBatch {
+                    next_seq: paced.next_seq + 1,
+                    ..paced
+                };
+                self.schedule(rearmed, due);
             }
-            self.forward_frame(
-                node_idx,
-                batch.stream,
-                batch.next_seq,
-                now,
-                &batch.payload,
-                Quality::FULL,
-            );
-            let interval = batch.interval_micros;
-            let rearmed = PacedBatch {
-                next_seq: batch.next_seq + 1,
-                ..batch
-            };
-            self.schedule(rearmed, now.saturating_add(interval));
         }
     }
 
@@ -1177,11 +949,10 @@ impl LoopState {
         }
     }
 
-    /// Tears one connection down with the threaded reader's exact exit
-    /// semantics: de-attribute the peer (LinkDown recorded and
-    /// notified), detach the control channel if this was still its
-    /// generation (CoordinatorLost), then finish the node if it was
-    /// stopping and this was its last connection.
+    /// Tears one connection down: the core de-attributes its peer and
+    /// detaches the control channel if this was still its generation,
+    /// then the node finishes if it was stopping and this was its last
+    /// connection.
     fn close_conn(&mut self, token: usize) {
         let is_conn = matches!(
             self.entries.get(token).and_then(Option::as_ref),
@@ -1200,7 +971,6 @@ impl LoopState {
         self.pending_free.push(token);
         self.metrics.conns_live.sub(1);
         let node_idx = conn.node;
-        let mut link_down: Option<SiteId> = None;
         if let Some(node) = self.node_mut(node_idx) {
             node.conns.remove(&token);
             if let Some(child) = conn.outbound_child {
@@ -1208,29 +978,11 @@ impl LoopState {
                     node.outbound.remove(&child);
                 }
             }
-            if let Some(site) = conn.peer {
-                if let Some(count) = node.inbound.get_mut(&site) {
-                    *count = count.saturating_sub(1);
-                    if *count == 0 {
-                        node.inbound.remove(&site);
-                    }
-                }
-                node.recorder.record(FlightEventKind::LinkDown {
-                    parent: site.index() as u32,
-                    child: node.site.index() as u32,
-                });
-                link_down = Some(site);
-            }
-            if let Some(generation) = conn.attached {
-                if node.control.is_some_and(|(g, _)| g == generation) {
-                    node.control = None;
-                    node.recorder.record(FlightEventKind::CoordinatorLost);
-                }
+            if node.control == Some(token) {
+                node.control = None;
             }
         }
-        if let Some(site) = link_down {
-            self.notify(node_idx, &Message::LinkDown { peer: site });
-        }
+        self.run_core(node_idx, |core, out| core.on_close(&mut conn.role, out));
         drop(conn);
         self.maybe_finish_node(node_idx);
     }
@@ -1391,7 +1143,6 @@ impl Reactor {
                 key,
                 site,
                 listener,
-                stats: Arc::new(NodeStats::default()),
                 recorder: recorder.clone(),
                 done: Arc::clone(&done),
             })));
@@ -1482,6 +1233,9 @@ mod tests {
     use std::time::Duration;
 
     use teeve_pubsub::{ChildLink, ForwardingEntry, SitePlan};
+    use teeve_types::{Quality, StreamId};
+
+    use crate::wire::encode;
 
     fn read_next(conn: &mut std::net::TcpStream, buf: &mut BytesMut, chunk: &mut [u8]) -> Message {
         loop {

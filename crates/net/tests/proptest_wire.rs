@@ -93,11 +93,11 @@ fn arb_delivery() -> impl Strategy<Value = StreamDelivery> {
         )
 }
 
-/// Uniformly draws one of the 18 protocol messages with arbitrary field
+/// Uniformly draws one of the 17 protocol messages with arbitrary field
 /// values.
 fn arb_message() -> impl Strategy<Value = Message> {
     (
-        (0usize..18, arb_site(), arb_stream(), arb_addr()),
+        (0usize..17, arb_site(), arb_stream(), arb_addr()),
         (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
         proptest::collection::vec(0u8..255, 0..64usize),
         (
@@ -123,38 +123,37 @@ fn arb_message() -> impl Strategy<Value = Message> {
                         captured_micros: b,
                         payload: Bytes::from(payload),
                     },
-                    2 => Message::Bye,
-                    3 => Message::End { stream },
-                    4 => Message::Reconfigure {
+                    2 => Message::End { stream },
+                    3 => Message::Reconfigure {
                         revision: a,
                         site_plan,
                     },
-                    5 => Message::Ack { revision: a },
-                    6 => Message::Attach,
-                    7 => Message::OpenLink { child: site, addr },
-                    8 => Message::CloseLink { child: site },
-                    9 => Message::LinkUp { peer: site },
-                    10 => Message::LinkDown { peer: site },
-                    11 => Message::Publish {
+                    4 => Message::Ack { revision: a },
+                    5 => Message::Attach,
+                    6 => Message::OpenLink { child: site, addr },
+                    7 => Message::CloseLink { child: site },
+                    8 => Message::LinkUp { peer: site },
+                    9 => Message::LinkDown { peer: site },
+                    10 => Message::Publish {
                         stream,
                         base_seq: a,
                         frames: b,
                         payload_bytes: small,
                         interval_micros: c,
                     },
-                    12 => Message::BatchDone {
+                    11 => Message::BatchDone {
                         stream,
                         next_seq: a,
                     },
-                    13 => Message::StatsRequest { probe: a },
-                    14 => Message::StatsReport {
+                    12 => Message::StatsRequest { probe: a },
+                    13 => Message::StatsReport {
                         probe: a,
                         total: b,
                         max_latency_micros: c,
                         streams,
                     },
-                    15 => Message::ResyncQuery { probe: a },
-                    16 => Message::ResyncReply {
+                    14 => Message::ResyncQuery { probe: a },
+                    15 => Message::ResyncReply {
                         probe: a,
                         revision: b,
                         // Reuse the drawn site plan's child links as an
