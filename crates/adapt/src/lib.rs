@@ -1,51 +1,43 @@
-//! Multi-stream bandwidth adaptation for 3D tele-immersive sessions.
+//! Bandwidth estimation for 3D tele-immersive sessions.
 //!
 //! The paper's dissemination model decides *which* streams cross the
-//! overlay; this crate decides *at what quality* each admitted stream is
-//! served when the receiving site's measured bandwidth falls short — the
-//! session-layer adaptation framework of the paper's reference \[27\]
-//! (Yang et al., NOSSDAV '06), rebuilt on the same FOV contribution
-//! scores the subscription framework produces:
+//! overlay; the session-layer adaptation framework of the paper's
+//! reference \[27\] (Yang et al., NOSSDAV '06) decides *at what quality*
+//! each admitted stream is served when the receiving site's measured
+//! bandwidth falls short. This crate holds the measuring half:
 //!
 //! * [`BandwidthEstimator`] — EWMA throughput estimation;
 //! * [`QualityLadder`] — the discrete bit rates a stream can degrade
-//!   through;
-//! * [`AdaptationController`] — priority-based graceful degradation that
-//!   fits the stream set into a budget;
-//! * [`AdaptiveReceiver`] — the closed loop with hysteresis.
+//!   through (re-exported from `teeve-types`).
+//!
+//! The deciding half is one greedy, `teeve_overlay::fit_qualities`,
+//! which the session runtime (`teeve-runtime`) applies every epoch to
+//! each site's estimate; the rungs it ships are in the epoch's
+//! `EpochCommit::granted`.
 //!
 //! # Examples
 //!
 //! ```
-//! use teeve_adapt::{AdaptStream, AdaptationController, QualityLadder};
-//! use teeve_types::{SiteId, StreamId};
+//! use teeve_adapt::{BandwidthEstimator, Quality, QualityLadder};
 //!
-//! // Four remote streams, scored by FOV contribution.
-//! let streams: Vec<AdaptStream> = (0..4)
-//!     .map(|q| AdaptStream {
-//!         stream: StreamId::new(SiteId::new(1), q),
-//!         score: 1.0 - 0.2 * f64::from(q),
-//!         ladder: QualityLadder::paper_default(),
-//!     })
-//!     .collect();
+//! // A receiver measures 18 Mbps of throughput.
+//! let mut est = BandwidthEstimator::new(0.3);
+//! est.observe_bps(18_000_000.0);
+//! assert!(est.is_warm());
 //!
-//! // 18 Mbps cannot carry 4 × 8 Mbps: the weakest streams degrade first.
-//! let plan = AdaptationController::new().plan(18_000_000, &streams);
-//! assert!(plan.total_bitrate_bps() <= 18_000_000);
-//! assert_eq!(plan.decision(streams[0].stream).unwrap().level, Some(0));
+//! // Two paper-ladder streams fit at full quality, four only at rung 1.
+//! let ladder = QualityLadder::paper_default();
+//! let budget = est.estimate_bps() as u64;
+//! assert!(2 * ladder.rate_of(Quality::FULL) <= budget);
+//! assert!(4 * ladder.rate_of(Quality::FULL) > budget);
+//! assert!(4 * ladder.rate_of(Quality::new(1)) <= budget);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
-mod driver;
 mod estimator;
 
-pub use controller::{
-    per_site_grants, AdaptStream, AdaptationController, AdaptationPlan, Decision,
-};
-pub use driver::AdaptiveReceiver;
 pub use estimator::BandwidthEstimator;
 // The quality vocabulary (rung indices, levels, ladders) lives in
 // `teeve-types` so dissemination plan entries and the wire protocol can

@@ -1,71 +1,18 @@
-//! Session-level subscription churn: users retargeting their fields of
-//! view while the overlay is live.
+//! The subscription universe a live session's overlay operates over.
 //!
 //! The paper constructs the overlay *statically* and defers live
-//! re-subscription to future work. This module drives that scenario end to
-//! end: a scripted sequence of display FOV changes is applied to a
-//! [`Session`], each change is diffed against the site's previous
-//! aggregated subscription, and the difference is pushed through an
-//! incremental [`OverlayManager`](teeve_overlay::OverlayManager) — so
-//! trees are repaired, not rebuilt, exactly as a deployed membership
-//! server would operate.
+//! re-subscription to future work. A live session lets any display
+//! retarget its field of view at any time, so the incremental
+//! [`OverlayManager`](teeve_overlay::OverlayManager) that repairs its
+//! trees (driven epoch by epoch by the session runtime, `teeve-runtime`)
+//! must admit every subscription a FOV could ever select.
 
-use std::collections::BTreeSet;
-
-use teeve_overlay::{OverlayManager, ProblemInstance, SubscribeResult};
-use teeve_types::{DisplayId, SiteId, StreamId};
+use teeve_overlay::ProblemInstance;
+use teeve_types::{SiteId, StreamId};
 
 use crate::session::Session;
 
-/// One scripted churn event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnEvent {
-    /// `display` retargets its viewpoint at `target`'s participant.
-    Retarget {
-        /// The display changing its FOV.
-        display: DisplayId,
-        /// The site whose participant it now watches.
-        target: SiteId,
-    },
-    /// `display` stops watching anything.
-    Clear {
-        /// The display clearing its subscription.
-        display: DisplayId,
-    },
-}
-
-/// Aggregate statistics of one churn run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChurnReport {
-    /// Events processed.
-    pub events: usize,
-    /// Stream joins attempted (new site-level subscriptions).
-    pub subscribes: usize,
-    /// Joins that found a feasible parent.
-    pub accepted: usize,
-    /// Joins rejected for bandwidth or latency.
-    pub rejected: usize,
-    /// Site-level unsubscriptions applied.
-    pub unsubscribes: usize,
-    /// Downstream sites re-attached after a relay left.
-    pub reattached: usize,
-    /// Downstream sites dropped because no feasible parent remained.
-    pub dropped: usize,
-}
-
-impl ChurnReport {
-    /// Returns the acceptance ratio of attempted joins (1.0 when nothing
-    /// was attempted).
-    pub fn acceptance_ratio(&self) -> f64 {
-        if self.subscribes == 0 {
-            1.0
-        } else {
-            self.accepted as f64 / self.subscribes as f64
-        }
-    }
-}
-
-/// Error produced by a churn run.
+/// Error produced when building a session's subscription universe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChurnError {
     /// The session's full subscription universe is not a valid problem
@@ -91,9 +38,9 @@ impl std::error::Error for ChurnError {
 
 /// Builds the session's **subscription universe**: a problem instance in
 /// which every site is a declared subscriber of every foreign stream, so
-/// an incremental [`OverlayManager`] can admit any FOV a live session may
-/// ever select. This is the instance churn runs and the session runtime
-/// (`teeve-runtime`) operate over.
+/// an incremental overlay manager can admit any FOV a live session may
+/// ever select. This is the instance the session runtime (`teeve-runtime`)
+/// operates over.
 ///
 /// # Errors
 ///
@@ -120,240 +67,21 @@ pub fn subscription_universe(session: &Session) -> Result<ProblemInstance, Churn
     builder.build().map_err(ChurnError::InvalidUniverse)
 }
 
-/// Runs `events` against `session`, maintaining the overlay incrementally.
-///
-/// The session's *current* subscriptions seed the overlay; each event then
-/// updates one display's FOV, and only the per-site subscription *diff* is
-/// pushed into the overlay manager (leave events first, so freed slots can
-/// serve the joins). With `correlation_aware`, saturated joins attempt a
-/// CO-RJ victim swap before giving up.
-///
-/// Returns the churn statistics together with the final forest, which
-/// satisfies every static invariant (see
-/// [`validate_forest`](teeve_overlay::validate_forest)).
-///
-/// # Errors
-///
-/// Returns an error if the session cannot form a valid subscription
-/// universe (fewer than three sites).
-///
-/// # Examples
-///
-/// ```
-/// use teeve_pubsub::{run_churn, ChurnEvent, Session};
-/// use teeve_types::{CostMatrix, CostMs, Degree, DisplayId, SiteId};
-///
-/// let costs = CostMatrix::from_fn(4, |_, _| CostMs::new(8));
-/// let mut session = Session::builder(costs)
-///     .cameras_per_site(6)
-///     .displays_per_site(1)
-///     .symmetric_capacity(Degree::new(10))
-///     .build();
-/// for site in SiteId::all(4) {
-///     let target = SiteId::new((site.index() as u32 + 1) % 4);
-///     session.subscribe_viewpoint(DisplayId::new(site, 0), target);
-/// }
-///
-/// // Site 0's display swings from watching site 1 to watching site 2.
-/// let events = [ChurnEvent::Retarget {
-///     display: DisplayId::new(SiteId::new(0), 0),
-///     target: SiteId::new(2),
-/// }];
-/// let (report, _forest) = run_churn(&mut session, &events, false)?;
-/// assert_eq!(report.events, 1);
-/// assert!(report.acceptance_ratio() > 0.0);
-/// # Ok::<(), teeve_pubsub::ChurnError>(())
-/// ```
-pub fn run_churn(
-    session: &mut Session,
-    events: &[ChurnEvent],
-    correlation_aware: bool,
-) -> Result<(ChurnReport, teeve_overlay::Forest), ChurnError> {
-    let universe = subscription_universe(session)?;
-    let mut manager = if correlation_aware {
-        OverlayManager::new(universe).with_correlation_swapping()
-    } else {
-        OverlayManager::new(universe)
-    };
-    let mut report = ChurnReport::default();
-
-    // Seed the overlay with the session's current aggregated state.
-    let n = session.site_count();
-    let mut current: Vec<BTreeSet<StreamId>> = SiteId::all(n)
-        .map(|s| session.rp(s).aggregated_requests())
-        .collect();
-    for (i, streams) in current.iter().enumerate() {
-        let site = SiteId::new(i as u32);
-        for &stream in streams {
-            report.subscribes += 1;
-            match manager.subscribe(site, stream) {
-                Ok(SubscribeResult::Joined { .. }) | Ok(SubscribeResult::AlreadyJoined) => {
-                    report.accepted += 1;
-                }
-                _ => report.rejected += 1,
-            }
-        }
-    }
-
-    for &event in events {
-        report.events += 1;
-        let site = match event {
-            ChurnEvent::Retarget { display, target } => {
-                session.subscribe_viewpoint(display, target);
-                display.site()
-            }
-            ChurnEvent::Clear { display } => {
-                session.subscribe_streams(display, Vec::new());
-                display.site()
-            }
-        };
-
-        let next = session.rp(site).aggregated_requests();
-        let prev = &current[site.index()];
-
-        // Leaves first: freed slots can host the subsequent joins.
-        for &gone in prev.difference(&next) {
-            report.unsubscribes += 1;
-            if let Ok(r) = manager.unsubscribe(site, gone) {
-                report.reattached += r.reattached.len();
-                report.dropped += r.dropped.len();
-            }
-        }
-        for &new in next.difference(prev) {
-            report.subscribes += 1;
-            match manager.subscribe(site, new) {
-                Ok(SubscribeResult::Joined { .. }) | Ok(SubscribeResult::AlreadyJoined) => {
-                    report.accepted += 1;
-                }
-                _ => report.rejected += 1,
-            }
-        }
-        current[site.index()] = next;
-    }
-
-    Ok((report, manager.into_forest()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use teeve_types::{CostMatrix, CostMs, Degree};
 
-    fn session(n: usize, capacity: u32) -> Session {
-        let costs = CostMatrix::from_fn(n, |i, j| CostMs::new(4 + ((i + j) % 3) as u32));
-        Session::builder(costs)
-            .cameras_per_site(6)
-            .displays_per_site(2)
-            .symmetric_capacity(Degree::new(capacity))
-            .build()
-    }
-
-    fn ring_subscriptions(s: &mut Session, n: usize) {
-        for site in SiteId::all(n) {
-            let target = SiteId::new((site.index() as u32 + 1) % n as u32);
-            s.subscribe_viewpoint(DisplayId::new(site, 0), target);
-        }
-    }
-
-    #[test]
-    fn no_events_just_seeds_the_overlay() {
-        let mut s = session(4, 12);
-        ring_subscriptions(&mut s, 4);
-        let (report, forest) = run_churn(&mut s, &[], false).unwrap();
-        assert_eq!(report.events, 0);
-        assert!(report.subscribes > 0);
-        assert_eq!(report.rejected, 0);
-        assert!(forest.trees().iter().any(|t| t.member_count() > 1));
-    }
-
-    #[test]
-    fn retarget_swings_the_subscription() {
-        let mut s = session(4, 12);
-        ring_subscriptions(&mut s, 4);
-        let display = DisplayId::new(SiteId::new(0), 0);
-        let before = s.rp(SiteId::new(0)).aggregated_requests();
-        let events = [ChurnEvent::Retarget {
-            display,
-            target: SiteId::new(2),
-        }];
-        let (report, _) = run_churn(&mut s, &events, false).unwrap();
-        let after = s.rp(SiteId::new(0)).aggregated_requests();
-        assert_ne!(before, after, "the FOV change must alter the subscription");
-        assert!(report.unsubscribes > 0);
-        assert!(report.acceptance_ratio() > 0.0);
-    }
-
-    #[test]
-    fn clear_releases_capacity() {
-        let mut s = session(4, 12);
-        ring_subscriptions(&mut s, 4);
-        let events: Vec<ChurnEvent> = SiteId::all(4)
-            .map(|site| ChurnEvent::Clear {
-                display: DisplayId::new(site, 0),
-            })
-            .collect();
-        let (report, forest) = run_churn(&mut s, &events, false).unwrap();
-        assert_eq!(report.unsubscribes, report.subscribes - report.rejected);
-        // Everything unsubscribed: the forest is back to bare sources.
-        for tree in forest.trees() {
-            assert_eq!(tree.member_count(), 1, "stream {}", tree.stream());
-        }
-    }
-
-    #[test]
-    fn churned_forest_respects_static_invariants() {
-        let mut s = session(5, 8);
-        ring_subscriptions(&mut s, 5);
-        let mut events = Vec::new();
-        for round in 0..4u32 {
-            for site in SiteId::all(5) {
-                events.push(ChurnEvent::Retarget {
-                    display: DisplayId::new(site, round % 2),
-                    target: SiteId::new((site.index() as u32 + 2 + round) % 5),
-                });
-            }
-        }
-        let (_, forest) = run_churn(&mut s, &events, false).unwrap();
-        let universe = subscription_universe(&s).unwrap();
-        teeve_overlay::validate_forest(&universe, &forest).expect("invariants hold under churn");
-    }
-
-    #[test]
-    fn correlation_awareness_never_lowers_acceptance() {
-        // Tight capacity so saturation and swapping actually occur.
-        for seed_target in 1..4u32 {
-            let build = |corr: bool| {
-                let mut s = session(4, 4);
-                ring_subscriptions(&mut s, 4);
-                let events: Vec<ChurnEvent> = (0..6)
-                    .map(|i| ChurnEvent::Retarget {
-                        display: DisplayId::new(SiteId::new(i % 4), 0),
-                        target: SiteId::new((i + seed_target) % 4),
-                    })
-                    .collect();
-                run_churn(&mut s, &events, corr).unwrap().0
-            };
-            let plain = build(false);
-            let aware = build(true);
-            assert!(
-                aware.accepted >= plain.accepted,
-                "swapping should not hurt: {} vs {}",
-                aware.accepted,
-                plain.accepted
-            );
-        }
-    }
-
     #[test]
     fn two_site_universe_is_rejected() {
         let costs = CostMatrix::from_fn(2, |_, _| CostMs::new(4));
-        let mut s = Session::builder(costs)
+        let s = Session::builder(costs)
             .cameras_per_site(2)
             .displays_per_site(1)
             .symmetric_capacity(Degree::new(4))
             .build();
         assert!(matches!(
-            run_churn(&mut s, &[], false),
+            subscription_universe(&s),
             Err(ChurnError::InvalidUniverse(_))
         ));
     }

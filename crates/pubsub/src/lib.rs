@@ -53,7 +53,7 @@ mod profile;
 mod rp;
 mod session;
 
-pub use churn::{run_churn, subscription_universe, ChurnError, ChurnEvent, ChurnReport};
+pub use churn::{subscription_universe, ChurnError};
 pub use delta::{DeltaError, DeltaRouter, DeltaSink, EntryChange, PlanDelta, RouteError};
 pub use membership::{MembershipError, MembershipServer};
 pub use plan::{ChildLink, DisseminationPlan, ForwardingEntry, SitePlan};

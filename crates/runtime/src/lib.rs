@@ -4,9 +4,9 @@
 //!
 //! Every layer of the reproduction exists below this crate — geometry FOV
 //! selection (`teeve-geometry`), pubsub membership (`teeve-pubsub`),
-//! incremental overlay maintenance (`teeve-overlay`), bandwidth
-//! adaptation (`teeve-adapt`) — but nothing drives them as *one running
-//! system*. [`SessionRuntime`] does:
+//! incremental overlay maintenance and quality fitting (`teeve-overlay`),
+//! bandwidth estimation (`teeve-adapt`) — but nothing drives them as *one
+//! running system*. [`SessionRuntime`] does:
 //!
 //! * it consumes [`RuntimeEvent`]s — display FOV changes, site
 //!   join/leave, bandwidth samples;
@@ -19,8 +19,10 @@
 //!   tearing down unaffected links;
 //! * records per-epoch [`EpochReport`] metrics: reconvergence time,
 //!   delta size vs full plan size, dropped subscriptions;
-//! * fits delivered streams into each site's estimated bandwidth
-//!   (per-site [`AdaptationPlan`](teeve_adapt::AdaptationPlan)s).
+//! * refits every site's granted streams into its EWMA bandwidth
+//!   estimate each epoch with `teeve_overlay::fit_qualities`, the one
+//!   degradation greedy, and ships the rungs in the plan and delta; the
+//!   epoch's [`EpochCommit::granted`] records each rung.
 //!
 //! [`TraceConfig`] generates seeded churn traces for tests and benches.
 //!

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use teeve_adapt::{AdaptStream, AdaptationController, AdaptationPlan, BandwidthEstimator};
+use teeve_adapt::BandwidthEstimator;
 use teeve_overlay::{
     fit_qualities, validate_forest, Forest, InvariantViolation, OverlayManager, ProblemInstance,
     SubscribeResult,
@@ -18,6 +18,13 @@ use crate::commit::EpochCommit;
 use crate::config::RuntimeConfig;
 use crate::event::RuntimeEvent;
 use crate::metrics::{EpochReport, PhaseBreakdown, RuntimeReport};
+
+/// EWMA smoothing factor of the per-site bandwidth estimators.
+const BANDWIDTH_ALPHA: f64 = 0.3;
+
+/// Contribution score assumed for a delivery no live FOV explains (e.g.
+/// an explicit stream list), when ranking streams for the quality fit.
+const DEFAULT_SCORE: f64 = 0.5;
 
 /// Pre-resolved telemetry handles the runtime records each epoch into:
 /// one histogram per phase plus the whole-epoch reconvergence, and the
@@ -63,7 +70,8 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// Everything one epoch produced: the plan diff to disseminate, the
-/// epoch's metrics, and per-site quality adaptation decisions.
+/// epoch's metrics, and its durable record — whose
+/// [`granted`](EpochCommit::granted) holds the epoch's quality decisions.
 #[derive(Debug, Clone)]
 pub struct EpochOutcome {
     /// Forwarding-state changes turning the previous plan into the new
@@ -71,9 +79,6 @@ pub struct EpochOutcome {
     pub delta: PlanDelta,
     /// The epoch's runtime metrics.
     pub report: EpochReport,
-    /// Quality decisions for every site with a warm bandwidth estimate:
-    /// which delivered streams to take at which ladder level.
-    pub adaptation: BTreeMap<SiteId, AdaptationPlan>,
     /// The epoch's durable record — the consumed event batch plus the
     /// derived state a store persists (and a recovery cross-checks).
     pub commit: EpochCommit,
@@ -99,8 +104,11 @@ pub struct EpochOutcome {
 ///    [`PlanDelta`] against the previous epoch's plan, so executors (the
 ///    simulator's [`simulate_with_replans`], the TCP cluster) only touch
 ///    what changed;
-/// 5. per-site [`AdaptationPlan`]s fit the delivered streams into each
-///    site's estimated bandwidth.
+/// 5. before that plan is derived, every site's granted streams are
+///    re-fitted by [`fit_qualities`] into its EWMA bandwidth estimate —
+///    degrading under pressure, promoting on recovery — and the rungs
+///    are stamped on the plan and delta. The epoch's
+///    [`EpochCommit::granted`] records each one.
 ///
 /// [`simulate_with_replans`]: https://docs.rs/teeve-sim
 ///
@@ -141,7 +149,7 @@ pub struct SessionRuntime {
     /// streams are suspended everywhere.
     active: Vec<bool>,
     estimators: Vec<BandwidthEstimator>,
-    /// Last FOV contribution score per (display, stream), for adaptation.
+    /// Last FOV contribution score per (display, stream), for the refit.
     /// Entries live exactly as long as the display's current FOV demands
     /// the stream: each FOV event replaces the display's scores wholesale.
     scores: BTreeMap<(DisplayId, StreamId), f64>,
@@ -154,8 +162,8 @@ pub struct SessionRuntime {
     /// reconstruction is deterministic, and thrashing on persistently
     /// infeasible demand is exactly what this gate prevents.
     rebuilt_for: Option<Vec<BTreeMap<StreamId, Quality>>>,
-    /// The quality ladder shared by admission, refitting, and the
-    /// per-epoch adaptation reports.
+    /// The quality ladder the rebuild gate annotates demand on and every
+    /// commit records (admission and refit use the same paper default).
     ladder: QualityLadder,
     /// The hosted session this runtime serves when owned by a
     /// multi-session service; every derived plan and emitted delta is
@@ -208,7 +216,7 @@ impl SessionRuntime {
             manager,
             granted: vec![BTreeSet::new(); n],
             active: vec![true; n],
-            estimators: vec![BandwidthEstimator::new(config.bandwidth_alpha); n],
+            estimators: vec![BandwidthEstimator::new(BANDWIDTH_ALPHA); n],
             scores: BTreeMap::new(),
             rebuilt_for: None,
             ladder: QualityLadder::paper_default(),
@@ -322,7 +330,7 @@ impl SessionRuntime {
     }
 
     /// Consumes one epoch's worth of events, reconciles the overlay, and
-    /// returns the resulting plan delta, metrics, and adaptation plans.
+    /// returns the resulting plan delta, metrics, and commit.
     pub fn apply_epoch(&mut self, events: &[RuntimeEvent]) -> EpochOutcome {
         let started = Instant::now();
         let mut report = EpochReport {
@@ -446,7 +454,6 @@ impl SessionRuntime {
             telemetry.reconverge.record_duration(report.reconverge);
         }
 
-        let adaptation = self.adaptation_plans();
         let commit = EpochCommit {
             epoch: report.epoch,
             revision: self.plan.revision(),
@@ -470,7 +477,6 @@ impl SessionRuntime {
         EpochOutcome {
             delta,
             report,
-            adaptation,
             commit,
         }
     }
@@ -550,14 +556,14 @@ impl SessionRuntime {
     }
 
     /// The strongest contribution score any of `site`'s displays currently
-    /// records for `stream`, or the configured default when no live FOV
+    /// records for `stream`, or [`DEFAULT_SCORE`] when no live FOV
     /// explains the delivery.
     fn fov_score(&self, site: SiteId, stream: StreamId) -> f64 {
         (0..self.session.rp(site).display_count())
             .filter_map(|d| self.scores.get(&(DisplayId::new(site, d), stream)))
             .copied()
             .reduce(f64::max)
-            .unwrap_or(self.config.default_score)
+            .unwrap_or(DEFAULT_SCORE)
     }
 
     /// The streams `site` should receive: its aggregated display demand,
@@ -643,12 +649,9 @@ impl SessionRuntime {
     }
 
     /// Pushes every site's current bandwidth estimate into the overlay's
-    /// rate-admission budgets (a no-op with the loop disabled). Cold
-    /// estimators leave their site unconstrained.
+    /// rate-admission budgets. Cold estimators leave their site
+    /// unconstrained.
     fn sync_budgets(&mut self) {
-        if !self.config.degrade_dont_reject {
-            return;
-        }
         for site in SiteId::all(self.session.site_count()) {
             let budget = self.budget_of(site);
             self.manager.set_rate_budget(site, budget);
@@ -656,10 +659,11 @@ impl SessionRuntime {
     }
 
     /// The bit-rate budget `site`'s warm estimator implies, or `None`
-    /// while the estimator is cold (or the loop is disabled).
+    /// while the estimator is cold.
     fn budget_of(&self, site: SiteId) -> Option<u64> {
         let estimator = &self.estimators[site.index()];
-        (self.config.degrade_dont_reject && estimator.is_warm())
+        estimator
+            .is_warm()
             .then(|| estimator.estimate_bps().max(0.0) as u64)
     }
 
@@ -681,9 +685,6 @@ impl SessionRuntime {
     /// live FOV state — into its current budget, degrading or promoting
     /// as the estimate moved.
     fn refit_qualities(&mut self) {
-        if !self.config.degrade_dont_reject {
-            return;
-        }
         for site in SiteId::all(self.session.site_count()) {
             let rescored: Vec<(StreamId, f64)> = self.granted[site.index()]
                 .iter()
@@ -697,18 +698,16 @@ impl SessionRuntime {
     }
 
     /// Returns the quality rung `site` currently receives `stream` at
-    /// ([`Quality::FULL`] unless the adaptation loop degraded it).
+    /// ([`Quality::FULL`] unless the refit degraded it).
     pub fn quality_of(&self, site: SiteId, stream: StreamId) -> Quality {
         self.manager.quality_of(site, stream)
     }
 
     fn make_manager(universe: &Arc<ProblemInstance>, config: &RuntimeConfig) -> OverlayManager {
-        let mut manager = OverlayManager::new(Arc::clone(universe));
+        let mut manager = OverlayManager::new(Arc::clone(universe))
+            .with_rate_admission(QualityLadder::paper_default());
         if config.correlation_aware {
             manager = manager.with_correlation_swapping();
-        }
-        if config.degrade_dont_reject {
-            manager = manager.with_rate_admission(QualityLadder::paper_default());
         }
         manager
     }
@@ -748,48 +747,18 @@ impl SessionRuntime {
             self.session.profile(),
         );
         plan.set_scope(self.scope);
-        // Stamp the adaptation loop's quality decisions onto the plan:
-        // the delta diffed against the previous epoch then carries them
-        // to every executor, socket-free when nothing structural moved.
-        if self.config.degrade_dont_reject {
-            for site in SiteId::all(self.session.site_count()) {
-                for stream in plan.deliveries_to(site) {
-                    let quality = self.manager.quality_of(site, stream);
-                    if !quality.is_full() {
-                        plan.set_quality(site, stream, quality);
-                    }
+        // Stamp the refit's quality decisions onto the plan: the delta
+        // diffed against the previous epoch then carries them to every
+        // executor, socket-free when nothing structural moved.
+        for site in SiteId::all(self.session.site_count()) {
+            for stream in plan.deliveries_to(site) {
+                let quality = self.manager.quality_of(site, stream);
+                if !quality.is_full() {
+                    plan.set_quality(site, stream, quality);
                 }
             }
         }
         plan
-    }
-
-    /// Fits each warm site's delivered streams into its estimated
-    /// bandwidth, prioritized by FOV contribution.
-    pub(crate) fn adaptation_plans(&self) -> BTreeMap<SiteId, AdaptationPlan> {
-        let mut plans = BTreeMap::new();
-        for site in SiteId::all(self.session.site_count()) {
-            let estimator = &self.estimators[site.index()];
-            if !self.active[site.index()] || !estimator.is_warm() {
-                continue;
-            }
-            let streams: Vec<AdaptStream> = self
-                .plan
-                .deliveries_to(site)
-                .into_iter()
-                .map(|stream| AdaptStream {
-                    stream,
-                    score: self.fov_score(site, stream),
-                    ladder: self.ladder.clone(),
-                })
-                .collect();
-            if streams.is_empty() {
-                continue;
-            }
-            let budget = estimator.estimate_bps().max(0.0) as u64;
-            plans.insert(site, AdaptationController::new().plan(budget, &streams));
-        }
-        plans
     }
 }
 
@@ -1048,25 +1017,148 @@ mod tests {
         assert!(rt.scores.keys().any(|(d, _)| d.site() == site(3)));
     }
 
+    /// The commit reports exactly the rungs the plan ships: under a
+    /// 12 Mbps sample every stream site 0 takes stays delivered, at the
+    /// rung its forwarding entry carries.
     #[test]
-    fn bandwidth_samples_produce_adaptation_plans() {
+    fn bandwidth_samples_commit_the_rungs_the_plan_ships() {
         let s = session(4, 10);
         let u = subscription_universe(&s).unwrap();
         let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
-        let outcome = rt.apply_epoch(&[
-            viewpoint(0, 0, 1),
-            viewpoint(0, 1, 2),
-            // 12 Mbps cannot carry several 8 Mbps streams at full rate.
-            RuntimeEvent::BandwidthSample {
-                site: site(0),
-                bits_per_sec: 12_000_000.0,
-            },
-        ]);
-        let plan = outcome.adaptation.get(&site(0)).expect("warm estimator");
-        assert!(plan.total_bitrate_bps() <= 12_000_000);
-        assert!(plan.decisions().len() >= 2);
-        // Sites without samples have no plan.
-        assert!(!outcome.adaptation.contains_key(&site(3)));
+        rt.apply_epoch(&[viewpoint(0, 0, 1), viewpoint(3, 0, 2)]);
+        let demanded = rt.plan().deliveries_to(site(0));
+        assert!(demanded.len() >= 3, "the budget below must bind");
+
+        // 12 Mbps cannot carry several 8 Mbps streams at full rate.
+        let outcome = rt.apply_epoch(&[RuntimeEvent::BandwidthSample {
+            site: site(0),
+            bits_per_sec: 12_000_000.0,
+        }]);
+        let granted = &outcome.commit.granted[site(0).index()];
+        let delivered = rt.plan().deliveries_to(site(0));
+        assert_eq!(delivered, demanded, "no stream is dropped");
+        assert_eq!(outcome.report.dropped_subscriptions, 0);
+        assert_eq!(granted.len(), delivered.len());
+        for &stream in &delivered {
+            let shipped = rt.plan().quality_of(site(0), stream);
+            assert!(
+                granted.contains(&(stream, shipped.unwrap())),
+                "{stream} committed at a rung the plan does not ship"
+            );
+        }
+        let total: u64 = granted
+            .iter()
+            .map(|&(_, q)| outcome.commit.ladder.rate_of(q))
+            .sum();
+        assert!(total <= 12_000_000, "{total} bps over budget");
+        assert!(granted.iter().any(|(_, q)| !q.is_full()));
+
+        // Site 3 sent no sample: it keeps full quality.
+        let untouched = &outcome.commit.granted[site(3).index()];
+        assert!(!untouched.is_empty());
+        assert!(untouched.iter().all(|(_, q)| q.is_full()));
+    }
+
+    /// Each site's first display watches the next site round the ring.
+    fn ring(n: u32) -> Vec<RuntimeEvent> {
+        (0..n).map(|i| viewpoint(i, 0, (i + 1) % n)).collect()
+    }
+
+    #[test]
+    fn no_events_just_seeds_the_overlay() {
+        let mut s = session(4, 12);
+        for site in SiteId::all(4) {
+            let target = SiteId::new((site.index() as u32 + 1) % 4);
+            s.subscribe_viewpoint(DisplayId::new(site, 0), target);
+        }
+        let u = subscription_universe(&s).unwrap();
+        let rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        assert_eq!(rt.epoch(), 0);
+        for site in SiteId::all(4) {
+            assert!(!rt.granted(site).is_empty(), "{site} seeded");
+        }
+        assert!(rt
+            .forest_snapshot()
+            .trees()
+            .iter()
+            .any(|t| t.member_count() > 1));
+        rt.validate().unwrap();
+    }
+
+    #[test]
+    fn retarget_swings_the_subscription() {
+        let s = session(4, 12);
+        let u = subscription_universe(&s).unwrap();
+        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        rt.apply_epoch(&ring(4));
+        let before = rt.granted(site(0)).clone();
+        let swing = rt.apply_epoch(&[viewpoint(0, 0, 2)]);
+        assert_ne!(&before, rt.granted(site(0)), "the FOV change must move");
+        assert!(swing.report.unsubscribes > 0);
+        assert!(swing.report.accepted > 0);
+        rt.validate().unwrap();
+    }
+
+    #[test]
+    fn clear_releases_capacity() {
+        let s = session(4, 12);
+        let u = subscription_universe(&s).unwrap();
+        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        let setup = rt.apply_epoch(&ring(4));
+        let clears: Vec<RuntimeEvent> = SiteId::all(4)
+            .map(|site| RuntimeEvent::FovClear {
+                display: DisplayId::new(site, 0),
+            })
+            .collect();
+        let cleared = rt.apply_epoch(&clears);
+        assert_eq!(cleared.report.unsubscribes, setup.report.accepted);
+        // Everything unsubscribed: the forest is back to bare sources.
+        for tree in rt.forest_snapshot().trees() {
+            assert_eq!(tree.member_count(), 1, "stream {}", tree.stream());
+        }
+    }
+
+    #[test]
+    fn churned_forest_respects_static_invariants() {
+        let s = session(5, 8);
+        let u = subscription_universe(&s).unwrap();
+        let mut rt = SessionRuntime::new(u, s, RuntimeConfig::default()).unwrap();
+        rt.apply_epoch(&ring(5));
+        rt.validate().unwrap();
+        for round in 0..4u32 {
+            for i in 0..5u32 {
+                rt.apply_epoch(&[viewpoint(i, round % 2, (i + 2 + round) % 5)]);
+                rt.validate().expect("invariants hold under churn");
+            }
+        }
+    }
+
+    #[test]
+    fn correlation_awareness_never_lowers_acceptance() {
+        // Tight capacity so joins saturate and the swap path is tried.
+        for seed_target in 1..4u32 {
+            let accepted = |correlation_aware: bool| {
+                let s = session(4, 4);
+                let u = subscription_universe(&s).unwrap();
+                let config = RuntimeConfig {
+                    correlation_aware,
+                    fallback: FallbackPolicy::never(),
+                };
+                let mut rt = SessionRuntime::new(u, s, config).unwrap();
+                rt.apply_epoch(&ring(4));
+                for i in 0..6u32 {
+                    rt.apply_epoch(&[viewpoint(i % 4, 0, (i + seed_target) % 4)]);
+                }
+                rt.validate().unwrap();
+                rt.report().accepted
+            };
+            let plain = accepted(false);
+            let aware = accepted(true);
+            assert!(
+                aware >= plain,
+                "swapping should not hurt: {aware} vs {plain}"
+            );
+        }
     }
 
     #[test]
@@ -1115,37 +1207,6 @@ mod tests {
         assert!(recovered.delta.is_quality_only());
         assert!(recovered.report.served_degraded < pressured.report.served_degraded);
         rt.validate().unwrap();
-    }
-
-    #[test]
-    fn disabling_the_loop_keeps_plans_at_full_quality() {
-        let s = session(4, 10);
-        let u = subscription_universe(&s).unwrap();
-        let mut rt = SessionRuntime::new(
-            u,
-            s,
-            RuntimeConfig {
-                degrade_dont_reject: false,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        rt.apply_epoch(&[viewpoint(0, 0, 1)]);
-        let quiet = rt.apply_epoch(&[RuntimeEvent::BandwidthSample {
-            site: site(0),
-            bits_per_sec: 6_000_000.0,
-        }]);
-        // Without the loop, bandwidth samples never move the plan.
-        assert!(quiet.delta.is_empty());
-        assert_eq!(quiet.report.served_degraded, 0);
-        assert!(quiet.report.served_full > 0);
-        assert!(rt.plan().deliveries_to(site(0)).iter().all(|&st| rt
-            .plan()
-            .quality_of(site(0), st)
-            .unwrap()
-            .is_full()));
-        // The adaptation *report* still exists for observability.
-        assert!(quiet.adaptation.contains_key(&site(0)));
     }
 
     #[test]

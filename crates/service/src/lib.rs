@@ -19,7 +19,7 @@
 //!   epoch;
 //! * [`SessionHandle::drive_epoch`] reconciles one epoch immediately and
 //!   returns its [`EpochOutcome`](teeve_runtime::EpochOutcome) — the
-//!   session-scoped plan delta, metrics, and adaptation plans;
+//!   session-scoped plan delta, metrics, and commit (with its granted rungs);
 //! * [`MembershipService::drive_all`] advances *every* hosted session one
 //!   epoch, consuming queued events, with shards processed in parallel
 //!   worker threads, and folds the results into a [`ServiceReport`]

@@ -18,7 +18,7 @@
 //! * [`Degree`] — a bandwidth limit expressed in *number of streams*
 //!   (`I_i, O_i ∈ ℕ`).
 //! * [`Quality`] / [`QualityLadder`] — per-subscription quality rungs,
-//!   shared by the adaptation controller, the overlay's degrade-don't-
+//!   shared by the runtime's quality refit, the overlay's degrade-don't-
 //!   reject admission path, dissemination plan entries, and the wire
 //!   protocol.
 //! * [`clock`] — the single sanctioned wall-clock module; all absolute

@@ -81,17 +81,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.reconverge.as_micros(),
             if r.rebuilt { "rebuild" } else { "repair" },
         );
+        // The rungs the refit shipped to each sampling site, read from
+        // the epoch's commit: every granted stream is still delivered.
+        let commit = &outcome.commit;
         for event in &epoch_events {
-            if let RuntimeEvent::BandwidthSample { site, .. } = event {
-                if let Some(plan) = outcome.adaptation.get(site) {
-                    println!(
-                        "      adapt {site}: {} streams in {:.1} Mbps ({} degraded, {} dropped)",
-                        plan.decisions().len(),
-                        plan.budget_bps() as f64 / 1e6,
-                        plan.degraded_count(),
-                        plan.dropped_count(),
-                    );
+            if let RuntimeEvent::BandwidthSample { site, bits_per_sec } = event {
+                let granted = &commit.granted[site.index()];
+                if granted.is_empty() {
+                    continue;
                 }
+                let total: u64 = granted.iter().map(|&(_, q)| commit.ladder.rate_of(q)).sum();
+                let rungs: Vec<String> = granted.iter().map(|(_, q)| q.to_string()).collect();
+                println!(
+                    "      refit {site}: {} streams in {:.1} Mbps sampled, {:.1} Mbps shipped at {}",
+                    granted.len(),
+                    bits_per_sec / 1e6,
+                    total as f64 / 1e6,
+                    rungs.join(" "),
+                );
             }
         }
     }

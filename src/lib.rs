@@ -29,7 +29,8 @@
 //!   in-process `LiveCluster` wrapper) and link-level delta analysis;
 //! * [`media`] — synthetic 3D capture and the reduction pipeline
 //!   (background subtraction, resolution reduction, compression);
-//! * [`adapt`] — multi-stream bandwidth adaptation.
+//! * [`adapt`] — EWMA bandwidth estimation feeding the runtime's
+//!   per-epoch quality refit.
 //!
 //! # Quickstart
 //!
@@ -71,7 +72,7 @@ pub use teeve_workload as workload;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
-    pub use teeve_adapt::{AdaptStream, AdaptationController, AdaptiveReceiver, QualityLadder};
+    pub use teeve_adapt::QualityLadder;
     pub use teeve_geometry::{CyberSpace, FieldOfView, ViewSelector};
     pub use teeve_media::{ReductionPipeline, SyntheticCapture};
     pub use teeve_overlay::{

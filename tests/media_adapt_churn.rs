@@ -1,15 +1,15 @@
 //! Cross-crate integration: the media pipeline's measured bit rate drives
-//! the dissemination plan, FOV contribution scores drive adaptation, and
-//! live churn preserves the overlay invariants.
+//! the dissemination plan, FOV contribution scores drive the quality fit,
+//! and live churn preserves the overlay invariants.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use teeve::adapt::{AdaptStream, AdaptationController, QualityLadder};
 use teeve::geometry::{CyberSpace, FieldOfView, ViewSelector};
 use teeve::media::{PipelineStats, ReductionPipeline, SyntheticCapture, FRAME_FPS};
+use teeve::overlay::fit_qualities;
 use teeve::prelude::*;
-use teeve::pubsub::{run_churn, ChurnEvent};
-use teeve::types::{CostMatrix, CostMs, Degree, DisplayId, SiteId, StreamId};
+use teeve::runtime::RuntimeEvent;
+use teeve::types::{CostMatrix, CostMs, Degree, DisplayId, Quality, SiteId, StreamId};
 
 /// Measures the pipeline on a synthetic camera and returns the provisioned
 /// Mbps (rounded up from the measured rate).
@@ -56,9 +56,8 @@ fn measured_media_rate_carries_a_session() {
     assert!(report.worst_jitter() <= teeve::sim::SimTime::from_micros(2));
 }
 
-/// FOV contribution scores flow into the adaptation controller: under a
-/// tight budget, the streams kept at full quality are exactly the top
-/// scorers.
+/// FOV contribution scores flow into the quality fit: under a tight
+/// budget, the best scorer keeps full quality and the worst yields.
 #[test]
 fn adaptation_keeps_the_most_contributing_streams() {
     let space = CyberSpace::meeting_circle(4, 8);
@@ -68,33 +67,30 @@ fn adaptation_keeps_the_most_contributing_streams() {
     let scored = ViewSelector::top_k(5).select(&space, &fov);
     assert!(scored.len() >= 3, "need a real stream set to adapt");
 
-    let streams: Vec<AdaptStream> = scored
-        .iter()
-        .map(|s| AdaptStream {
-            stream: s.stream,
-            score: s.score,
-            ladder: QualityLadder::paper_default(),
-        })
-        .collect();
+    let streams: Vec<(StreamId, f64)> = scored.iter().map(|s| (s.stream, s.score)).collect();
 
     // Budget for roughly half the full-quality demand.
-    let full: u64 = streams.iter().map(|s| s.ladder.full().bitrate_bps).sum();
-    let plan = AdaptationController::new().plan(full / 2, &streams);
-    assert!(plan.total_bitrate_bps() <= full / 2);
+    let ladder = QualityLadder::paper_default();
+    let full = streams.len() as u64 * ladder.full().bitrate_bps;
+    let fit = fit_qualities(&ladder, Some(full / 2), &streams);
+    assert!(fit.fits);
+    assert!(fit.total_bps <= full / 2);
+    assert_eq!(fit.qualities.len(), streams.len(), "nothing is dropped");
 
     // The best-scored stream is served at full quality; the worst is not.
     let best = &scored[0];
     let worst = scored.last().unwrap();
-    assert_eq!(plan.decision(best.stream).unwrap().level, Some(0));
-    assert_ne!(plan.decision(worst.stream).unwrap().level, Some(0));
+    assert_eq!(fit.qualities[&best.stream], Quality::FULL);
+    assert_ne!(fit.qualities[&worst.stream], Quality::FULL);
 }
 
-/// Churn at session level leaves a forest that satisfies every static
-/// invariant, checked through the public API only.
+/// Churn driven through the session runtime leaves a forest that
+/// satisfies every static invariant after every epoch, checked through
+/// the public API only.
 #[test]
 fn churned_session_forest_validates_against_the_universe() {
     let costs = CostMatrix::from_fn(5, |i, j| CostMs::new(4 + ((i + j) % 3) as u32));
-    let mut session = Session::builder(costs.clone())
+    let mut session = Session::builder(costs)
         .cameras_per_site(6)
         .displays_per_site(2)
         .symmetric_capacity(Degree::new(8))
@@ -104,18 +100,29 @@ fn churned_session_forest_validates_against_the_universe() {
         session.subscribe_viewpoint(DisplayId::new(site, 0), SiteId::new((i + 1) % 5));
         session.subscribe_viewpoint(DisplayId::new(site, 1), SiteId::new((i + 2) % 5));
     }
-    let events: Vec<ChurnEvent> = (0..15u32)
-        .map(|k| ChurnEvent::Retarget {
+    let config = RuntimeConfig {
+        correlation_aware: true,
+        ..RuntimeConfig::default()
+    };
+    let universe = subscription_universe(&session).expect("universe");
+    let mut runtime = SessionRuntime::new(universe, session, config).expect("runtime");
+    for k in 0..15u32 {
+        runtime.apply_epoch(&[RuntimeEvent::Viewpoint {
             display: DisplayId::new(SiteId::new(k % 5), k % 2),
             target: SiteId::new((k % 5 + 1 + k % 3) % 5),
-        })
-        .collect();
-    let (report, forest) = run_churn(&mut session, &events, true).expect("churn runs");
-    assert_eq!(report.events, 15);
-    assert!(report.acceptance_ratio() > 0.5);
+        }]);
+        runtime.validate().expect("invariants after every epoch");
+    }
+    let report = runtime.report();
+    assert_eq!(report.epochs, 15);
+    assert!(
+        report.accepted * 2 > report.subscribes,
+        "acceptance above half"
+    );
 
     // Rebuild the subscription universe through public accessors and
     // validate the final forest against it.
+    let session = runtime.session();
     let streams: Vec<u32> = SiteId::all(5)
         .map(|s| session.rp(s).camera_count())
         .collect();
@@ -134,7 +141,8 @@ fn churned_session_forest_validates_against_the_universe() {
         }
     }
     let universe = builder.build().expect("universe");
-    teeve::overlay::validate_forest(&universe, &forest).expect("invariants after churn");
+    teeve::overlay::validate_forest(&universe, &runtime.forest_snapshot())
+        .expect("invariants after churn");
 }
 
 /// The unicast baseline and the optimal solver bracket the heuristics:
